@@ -9,9 +9,17 @@
 // determinism claim along the way: every mode yields the identical
 // EventDigest. Wall-clock numbers are reported, not asserted; relative
 // speed depends on the host's core count.
+//
+// cosched_select/N times the coscheduled runner's selection alone: a ring
+// of N sync-only components whose every batch is one SYNC emission, so the
+// wall time per batch is almost all scheduling. Emits BENCH_pooled.json.
+//
+// Flags: --msgs=N (messages per producer), --out=PATH, --full.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common.hpp"
 #include "runtime/runner.hpp"
@@ -59,6 +67,57 @@ class Echo : public Component {
   sync::Adapter* a_;
 };
 
+/// Ring member with no model: two adapters that only ever emit SYNCs.
+class RingNode : public Component {
+ public:
+  RingNode(std::string name, sync::ChannelEnd& left, sync::ChannelEnd& right)
+      : Component(std::move(name)) {
+    add_adapter("l", left);
+    add_adapter("r", right);
+  }
+};
+
+/// Coscheduled ring of `n` sync-only components with equal latencies, so
+/// every component ties and each selection runs a single batch. Returns
+/// one result over `reps` runs: ns per batch, the median run as p50 and
+/// the slowest as p99.
+benchutil::BenchResult bench_cosched_select(int n, int reps) {
+  constexpr SimTime kLatency = 1000;
+  constexpr std::uint64_t kBatches = 200'000;  // per run, over all components
+  const SimTime end = static_cast<SimTime>(kBatches / static_cast<std::uint64_t>(n)) * kLatency;
+  std::vector<double> ns_per_batch;
+  std::uint64_t batches = 0;
+  double seconds = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Simulation sim;
+    std::vector<sync::Channel*> ring;
+    for (int i = 0; i < n; ++i) {
+      ring.push_back(&sim.add_channel("ring" + std::to_string(i), {.latency = kLatency}));
+    }
+    for (int i = 0; i < n; ++i) {
+      sim.add_component<RingNode>("node" + std::to_string(i), ring[i]->end_b(),
+                                  ring[(i + 1) % n]->end_a());
+    }
+    RunStats st = sim.run(end, RunMode::kCoscheduled);
+    std::uint64_t b = 0;
+    for (const auto& c : st.components) b += c.batches;
+    batches += b;
+    seconds += st.wall_seconds;
+    ns_per_batch.push_back(st.wall_seconds * 1e9 / static_cast<double>(b));
+  }
+  std::sort(ns_per_batch.begin(), ns_per_batch.end());
+  benchutil::BenchResult res;
+  res.name = "cosched_select/" + std::to_string(n);
+  res.ops = batches;
+  res.ops_per_sec = seconds > 0 ? static_cast<double>(batches) / seconds : 0;
+  res.p50_ns = ns_per_batch[ns_per_batch.size() / 2];
+  res.p99_ns = ns_per_batch.back();
+  res.extra.emplace_back("components", n);
+  std::printf("  %-22s %10llu batches   %9.1f ns/batch (p50 over %d runs)\n", res.name.c_str(),
+              static_cast<unsigned long long>(batches), res.p50_ns, reps);
+  return res;
+}
+
 struct Outcome {
   double wall_seconds = 0.0;
   double sim_speed = 0.0;
@@ -95,6 +154,7 @@ int main(int argc, char** argv) {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   int msgs = args.get_int("--msgs", args.full() ? 20000 : 2000);
+  const std::string out = args.get("--out", "BENCH_pooled.json");
   std::printf("hardware_concurrency: %u, messages/producer: %d\n\n", hw, msgs);
 
   struct Scale {
@@ -153,5 +213,10 @@ int main(int argc, char** argv) {
                    "pooled within 2x of threaded when components fit in cores");
   benchutil::check(pooled_wall[1] < threaded_wall[1],
                    "pooled strictly faster than threaded at 4x oversubscription");
+
+  std::printf("\n--- coscheduled selection cost: ring of N sync-only components ---\n");
+  std::vector<benchutil::BenchResult> results;
+  for (int n : {8, 64, 512}) results.push_back(bench_cosched_select(n, 5));
+  benchutil::write_json(out, "batches_per_sec", results);
   return 0;
 }

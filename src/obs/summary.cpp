@@ -56,6 +56,7 @@ std::string summary_json(const SummaryInputs& in) {
     out += ",\"outcome\":\"" + runtime::to_string(st.outcome) + "\"";
     if (st.outcome != runtime::RunOutcome::kCompleted) {
       out += ",\"error\":\"" + json_escape(st.error) + "\"";
+      out += ",\"error_kind\":\"" + runtime::to_string(st.error_kind) + "\"";
       out += ",\"error_component\":\"" + json_escape(st.error_component) + "\"";
       out += ",\"error_sim_ns\":" + std::to_string(to_ns(st.error_sim_time));
     }

@@ -324,7 +324,7 @@ ChildReport read_report(const std::string& path) {
       else if (k == "futex_wakes") r.futex_wakes = std::stoull(v);
       else if (k == "error_kind") {
         int n = std::stoi(v);
-        if (n < 0 || n > static_cast<int>(runtime::ErrorKind::kCheckpoint)) {
+        if (n < 0 || n > static_cast<int>(runtime::ErrorKind::kCausality)) {
           throw std::out_of_range("error_kind " + v + " is not a known ErrorKind");
         }
         r.error_kind = static_cast<runtime::ErrorKind>(n);
@@ -898,6 +898,7 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
     }();
     merged.outcome = runtime::RunOutcome::kError;
     merged.error = err.what();
+    merged.error_kind = err.kind();
     merged.error_component = err.component();
     merged.error_sim_time = err.sim_time();
     if (ckpt != nullptr) {
@@ -932,6 +933,7 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
     } catch (runtime::SimulationError err) {
       merged.outcome = runtime::RunOutcome::kError;
       merged.error = err.what();
+      merged.error_kind = err.kind();
       merged.error_component = err.component();
       merged.error_sim_time = err.sim_time();
       cks = parent_ckpt_summary(*ckpt, resume, false);

@@ -71,6 +71,7 @@ bool Component::advance_once() {
     SimTime due = a->next_sync_due();
     if (due < t) t = due;
   }
+  if (t < kernel_.now()) check_causality();
   if (t > end_) return false;
   if (t > s) return false;
   // Checkpoint boundaries strictly before the next batch are final now:
@@ -104,6 +105,21 @@ bool Component::advance_once() {
   if (traced) obs::record_span(obs::kNameAdvance, trace_track_, t, c0, rdcycles());
   maybe_observe();
   return true;
+}
+
+void Component::check_causality() {
+  // A SYNC due behind the clock is legal (a retuned interval re-grids the
+  // sync schedule); a message received behind it is not.
+  for (auto& a : adapters_) {
+    SimTime rx = a->head_rx();
+    if (rx >= kernel_.now()) continue;
+    std::ostringstream os;
+    os << "message on adapter '" << a->name() << "' (channel '" << a->end().channel_name()
+       << "') has receive time " << to_ns(rx) << " ns behind the component clock "
+       << to_ns(kernel_.now()) << " ns; adapter horizon " << to_ns(a->end().horizon())
+       << " ns";
+    throw SimulationError(ErrorKind::kCausality, name_, kernel_.now(), os.str());
+  }
 }
 
 void Component::record_ckpt_boundaries(SimTime limit) {
@@ -176,9 +192,11 @@ void Component::run_thread(ThreadedShared& shared) {
   std::uint64_t t0 = rdcycles();
   next_sample_tsc_ = sample_period_ ? t0 + sample_period_ : 0;
   while (!shared.abort.load(std::memory_order_relaxed)) {
+    // Bound before action: see safe_bound().
+    SimTime s = safe_bound();
     SimTime t = next_action_time();
-    if (t > end_) break;
-    if (t <= safe_bound()) {
+    if (t > end_ && s >= end_) break;
+    if (t <= s) {
       std::uint64_t b0 = rdcycles();
       advance_once();
       busy_cycles_ += (rdcycles() - b0) + drain_virtual_cycles();
@@ -188,7 +206,7 @@ void Component::run_thread(ThreadedShared& shared) {
     // wait with the adaptive spin/yield/park policy. Re-promise whenever our
     // bound grows so chains of waiting components keep making progress
     // (classic null-message iteration).
-    SimTime promised = safe_bound();
+    SimTime promised = s;
     send_nulls(promised);
     std::uint64_t w0 = rdcycles();
     // Attribute the wait to the currently limiting adapter.
@@ -204,9 +222,9 @@ void Component::run_thread(ThreadedShared& shared) {
     std::uint64_t watch_deadline =
         shared.watchdog_cycles != 0 ? rdcycles() + shared.watchdog_cycles : 0;
     while (!shared.abort.load(std::memory_order_relaxed)) {
-      SimTime t2 = next_action_time();
       SimTime s2 = safe_bound();
-      if (t2 <= s2 || t2 > end_) break;
+      SimTime t2 = next_action_time();
+      if (t2 <= s2 || s2 >= end_) break;
       if (s2 > promised) {
         promised = s2;
         send_nulls(promised);

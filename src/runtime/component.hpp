@@ -131,6 +131,16 @@ class Component {
 
   /// Latest time this component may safely advance to (min over input
   /// adapters of their bound). kSimTimeMax without adapters.
+  ///
+  /// Runners that compare it with next_action_time() read the bound first.
+  /// A message that arrives after the bound was read is received after it,
+  /// so the bound stays below every later action and is safe to promise in
+  /// a null message. Read the other way round, a SYNC landing in between
+  /// could lift the bound past an action already pending, and the promise
+  /// would put the next data send behind it. For the same reason a runner
+  /// that lets components race ahead of their peers (threaded, pooled)
+  /// finishes a component only once the bound, too, has passed the end
+  /// time: a message due before the end may still be in flight.
   SimTime safe_bound();
 
   /// Execute everything at next_action_time(). Returns false when blocked
@@ -247,6 +257,10 @@ class Component {
 
   // Checkpointing: fire ckpt_hook_ for every pending boundary < limit.
   void record_ckpt_boundaries(SimTime limit);
+
+  // Slow path of advance_once when the next action lies behind the clock:
+  // throws SimulationError(kCausality) if a pending message is the cause.
+  void check_causality();
 
   CkptHook* ckpt_hook_ = nullptr;
   SimTime ckpt_next_ = kSimTimeMax;

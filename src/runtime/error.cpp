@@ -14,6 +14,8 @@ std::string to_string(ErrorKind k) {
       return "transport failure";
     case ErrorKind::kCheckpoint:
       return "checkpoint failure";
+    case ErrorKind::kCausality:
+      return "causality violation";
   }
   return "?";
 }

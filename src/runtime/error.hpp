@@ -29,6 +29,8 @@ enum class ErrorKind {
   kCheckpoint,  ///< checkpoint/restart failure: unreadable or corrupted
                 ///< snapshot, incompatible resume config, or a resumed
                 ///< replay diverging from the snapshot's recorded state
+  kCausality,   ///< a message arrived behind its receiver's clock: the
+                ///< conservative synchronization contract was broken
 };
 
 std::string to_string(ErrorKind k);

@@ -131,10 +131,7 @@ class PooledRunner {
     }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       for (auto& a : slots_[i].comp->adapters()) {
-        sync::Channel& ch = a->end().channel();
-        const sync::ChannelEnd* other =
-            (&ch.end_a() == &a->end()) ? &ch.end_b() : &ch.end_a();
-        auto it = owner.find(other);
+        auto it = owner.find(&a->end().channel().other_end(a->end()));
         if (it == owner.end() || it->second == i) continue;
         auto& peers = slots_[i].peers;
         if (std::find(peers.begin(), peers.end(), it->second) == peers.end()) {
@@ -364,35 +361,34 @@ class PooledRunner {
       // Another worker failed: stop mid-quantum instead of finishing a
       // potentially long quantum against dead peers.
       if (abort_.load(std::memory_order_relaxed)) return;
-      SimTime t = c->next_action_time();
-      if (t > c->end_time()) {
-        c->finish();  // sends FINs: unbounds every peer's horizon
-        finished = true;
-        progressed = true;
-        break;
-      }
+      // advance_once refuses past the end time or the safe bound; the
+      // classification below then finishes or parks the component.
       if (!c->advance_once()) break;
       progressed = true;
       ++batches;
     }
     if (!finished) {
+      // Bound before action, and finish only once the bound has passed the
+      // end too: see Component::safe_bound().
+      SimTime bound = c->safe_bound();
       SimTime t = c->next_action_time();
-      if (t > c->end_time()) {
-        c->finish();
+      if (t > c->end_time() && bound >= c->end_time()) {
+        c->finish();  // sends FINs: unbounds every peer's horizon
         finished = true;
         progressed = true;
-      } else if (t <= c->safe_bound()) {
+      } else if (t <= bound) {
         runnable = true;  // quantum expired; round-robin back into the queue
       } else {
         // Blocked: promise the current bound to all peers, then park.
         // Null sends advance next_sync_due, so re-check runnability after.
-        progressed |= c->send_nulls(c->safe_bound());
+        progressed |= c->send_nulls(bound);
+        bound = c->safe_bound();
         t = c->next_action_time();
-        if (t > c->end_time()) {
+        if (t > c->end_time() && bound >= c->end_time()) {
           c->finish();
           finished = true;
           progressed = true;
-        } else if (t <= c->safe_bound()) {
+        } else if (t <= bound) {
           runnable = true;
         } else {
           s.wait_attr = c->limiting_adapter();
@@ -426,8 +422,8 @@ class PooledRunner {
       Slot& s = slots_[i];
       if (s.state != St::kBlocked) continue;
       Component* c = s.comp;
-      SimTime t = c->next_action_time();
-      if (t > c->end_time() || t <= c->safe_bound()) {
+      SimTime bound = c->safe_bound();
+      if (c->next_action_time() <= bound || bound >= c->end_time()) {
         s.state = St::kReady;
         enqueue_locked(i);
         cv_.notify_one();

@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "runtime/cosched.hpp"
 #include "runtime/pooled.hpp"
 #include "sync/transport.hpp"
 #include "util/cycles.hpp"
@@ -121,10 +122,7 @@ void Simulation::resolve_peers() {
   }
   for (auto& c : components_) {
     for (auto& a : c->adapters()) {
-      sync::Channel& ch = a->end().channel();
-      const sync::ChannelEnd* other =
-          (&ch.end_a() == &a->end()) ? &ch.end_b() : &ch.end_a();
-      auto it = owner.find(other);
+      auto it = owner.find(&a->end().channel().other_end(a->end()));
       if (it != owner.end()) a->set_peer_component(it->second->name());
     }
   }
@@ -362,71 +360,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
       // RunStats attached to the error still carry the imbalance view.
       run_pooled(comps, opts, &pooled_workers_);
     } else {
-      // Coscheduled: always advance the runnable component with the earliest
-      // next action. Conservative synchronization makes any safe order
-      // equivalent; picking the minimum guarantees liveness. To amortize the
-      // selection scan, the chosen component keeps advancing until it passes
-      // the second-earliest action time or blocks.
-      Component* active_comp = nullptr;  // attribution for escaping model errors
-      try {
-        std::size_t unfinished = active.size();
-        while (unfinished > 0) {
-          Component* best = nullptr;
-          SimTime best_t = kSimTimeMax;
-          SimTime second_t = kSimTimeMax;
-          for (Component* c : active) {
-            if (c->finished()) continue;
-            SimTime t = c->next_action_time();
-            if (t > c->end_time()) {
-              active_comp = c;
-              c->finish();
-              --unfinished;
-              continue;
-            }
-            if (t < best_t) {
-              second_t = best_t;
-              best_t = t;
-              best = c;
-            } else if (t < second_t) {
-              second_t = t;
-            }
-          }
-          if (unfinished == 0) break;
-          if (best == nullptr) continue;  // finishing pass removed candidates
-          if (best_t > best->safe_bound()) {
-            // The earliest component is blocked; with sync_interval <= latency
-            // this cannot happen (its peer would have an earlier sync action).
-            std::ostringstream os;
-            os << "coscheduled: no runnable component; next action " << to_ns(best_t)
-               << " ns beyond safe bound " << to_ns(best->safe_bound()) << " ns";
-            if (sync::Adapter* lim = best->limiting_adapter()) {
-              os << ", blocked on adapter '" << lim->name() << "'";
-              if (!lim->peer_component().empty()) {
-                os << " toward '" << lim->peer_component() << "'";
-              }
-            }
-            os << " (is sync_interval <= latency and every channel end attached?)";
-            throw SimulationError(ErrorKind::kDeadlock, best->name(), best->now(), os.str());
-          }
-          active_comp = best;
-          std::uint64_t b0 = rdcycles();
-          while (!best->finished()) {
-            if (!best->advance_once()) break;
-            if (best->next_action_time() > second_t) break;
-          }
-          best->add_busy_cycles((rdcycles() - b0) + drain_virtual_cycles());
-        }
-      } catch (const SimulationError&) {
-        throw;
-      } catch (const sync::TransportError& e) {
-        throw SimulationError(ErrorKind::kTransport,
-                              active_comp != nullptr ? active_comp->name() : "",
-                              active_comp != nullptr ? active_comp->now() : 0, e.what());
-      } catch (const std::exception& e) {
-        throw SimulationError(ErrorKind::kModelError,
-                              active_comp != nullptr ? active_comp->name() : "",
-                              active_comp != nullptr ? active_comp->now() : 0, e.what());
-      }
+      run_coscheduled(active);
     }
   } catch (...) {
     run_error = std::current_exception();
@@ -458,6 +392,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     }();
     rs.outcome = RunOutcome::kError;
     rs.error = out.what();
+    rs.error_kind = out.kind();
     rs.error_component = out.component();
     rs.error_sim_time = out.sim_time();
     out.attach_stats(std::make_shared<const RunStats>(rs));

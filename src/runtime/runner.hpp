@@ -87,6 +87,7 @@ struct RunStats {
   /// SimulationError so a long run's profile survives the failure).
   RunOutcome outcome = RunOutcome::kCompleted;
   std::string error;            ///< SimulationError::what(), "" if completed
+  ErrorKind error_kind = ErrorKind::kModelError;  ///< meaningful only on error
   std::string error_component;  ///< failing component ("" if none/unknown)
   SimTime error_sim_time = 0;   ///< failing component's sim time
 

@@ -234,7 +234,7 @@ const Message* ChannelEnd::peek() {
       }
     }
     if (m == nullptr) return nullptr;
-    if (m->timestamp > last_recv_) last_recv_ = m->timestamp;
+    note_received(m->timestamp);
     if (m->is_sync() || m->is_fin()) {
       if (m->is_fin()) fin_received_ = true;
       if (from_spill) {

@@ -171,6 +171,9 @@ class ChannelEnd {
   /// Time up to which (inclusive) the local simulator may safely advance.
   SimTime horizon() const {
     if (fin_received()) return kSimTimeMax;
+    // Before anything arrived, the peer's first data message may still be
+    // stamped 0 and received at `latency` itself.
+    if (!received_anything_) return config().latency == 0 ? 0 : config().latency - 1;
     SimTime h = last_recv_ + config().latency;
     return h < last_recv_ ? kSimTimeMax : h;  // overflow guard
   }
@@ -187,6 +190,10 @@ class ChannelEnd {
   ChannelEnd() = default;
 
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
+  void note_received(SimTime ts) {
+    if (ts > last_recv_) last_recv_ = ts;
+    received_anything_ = true;
+  }
   const Message* spill_front(bool& from_spill);
   void spill_pop();
 
@@ -204,6 +211,7 @@ class ChannelEnd {
   SimTime last_sent_ = 0;       ///< wire timestamp: data + sync + fin
   SimTime last_data_sent_ = 0;  ///< data only; drives the monotonicity bump
   SimTime last_recv_ = 0;
+  bool received_anything_ = false;  ///< see horizon()
   std::atomic<bool> fin_received_{false};  ///< see fin_received()
   bool sent_anything_ = false;
   bool sent_data_ = false;
@@ -237,6 +245,8 @@ class Channel {
 
   ChannelEnd& end_a() { return end_a_; }
   ChannelEnd& end_b() { return end_b_; }
+  /// The end facing `e`, which must be one of this channel's ends.
+  ChannelEnd& other_end(const ChannelEnd& e) { return &e == &end_a_ ? end_b_ : end_a_; }
 
   const ChannelConfig& config() const { return cfg_; }
   const std::string& name() const { return name_; }
@@ -325,7 +335,7 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
     std::size_t n = rx_->ready();
     for (std::size_t i = 0; i < n; ++i) {
       const Message& m = rx_->front_unsynchronized();
-      if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
+      note_received(m.timestamp);
       if (m.is_sync() || m.is_fin()) {
         if (m.is_fin()) fin_received_ = true;
         rx_->pop();
@@ -349,7 +359,7 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
       std::size_t popped = 0;
       while (!rx_spill_->empty()) {
         const Message& front = rx_spill_->front();
-        if (front.timestamp > last_recv_) last_recv_ = front.timestamp;
+        note_received(front.timestamp);
         if (front.is_sync() || front.is_fin()) {
           if (front.is_fin()) fin_received_ = true;
           rx_spill_->pop_front();
@@ -383,7 +393,7 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
         std::lock_guard<std::mutex> g(channel_->spill_mu_);
         while (!rx_spill_->empty()) {
           const Message& m = rx_spill_->front();
-          if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
+          note_received(m.timestamp);
           if (m.is_sync() || m.is_fin()) {
             if (m.is_fin()) fin_received_ = true;
           } else if (m.timestamp > wire_limit) {

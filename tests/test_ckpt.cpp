@@ -409,6 +409,21 @@ TEST(ChildReport, RoundTripPreservesEveryField) {
   EXPECT_EQ(g.futex_wakes, 77u);
 }
 
+TEST(ChildReport, EveryErrorKindReadsBack) {
+  const std::string path = scratch_dir("report") + "/kinds.stats";
+  for (ErrorKind k : {ErrorKind::kModelError, ErrorKind::kDeadlock, ErrorKind::kTransport,
+                      ErrorKind::kCheckpoint, ErrorKind::kCausality}) {
+    orch::ChildReport w;
+    w.outcome = "error";
+    w.error = "cause";
+    w.error_kind = k;
+    orch::write_report(path, w);
+    orch::ChildReport g = orch::read_report(path);
+    EXPECT_EQ(g.outcome, "error") << to_string(k);
+    EXPECT_EQ(g.error_kind, k) << to_string(k);
+  }
+}
+
 TEST(ChildReport, MissingFileIsInvalidNotFatal) {
   orch::ChildReport r = orch::read_report(scratch_dir("report") + "/never-written.stats");
   EXPECT_FALSE(r.valid);

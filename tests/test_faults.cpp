@@ -7,11 +7,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "dcdb/scenario.hpp"
 #include "netsim/apps.hpp"
+#include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "orch/fault.hpp"
 #include "orch/instantiation.hpp"
@@ -67,6 +70,41 @@ class Counter : public Component {
 struct StreamPair {
   Streamer* src = nullptr;
   Counter* dst = nullptr;
+};
+
+/// In-process transport whose receive rings a test can write directly. A
+/// message pushed through inject() bypasses ChannelEnd::send and its
+/// timestamp checks, which is how a peer that broke the synchronization
+/// contract looks to the receiver.
+class TapTransport final : public sync::Transport {
+ public:
+  const char* kind() const override { return "tap"; }
+  sync::MessageRing* tx_ring(int side) override { return side == 0 ? &a_to_b_ : &b_to_a_; }
+  sync::MessageRing* rx_ring(int side) override { return side == 0 ? &b_to_a_ : &a_to_b_; }
+
+  /// Append `m` to the ring that end `side` consumes.
+  void inject(int side, const sync::Message& m) { ASSERT_TRUE(rx_ring(side)->try_push(m)); }
+
+ private:
+  sync::MessageRing a_to_b_{64};
+  sync::MessageRing b_to_a_{64};
+};
+
+/// Runs `fn` from a model event at simulation time `at`.
+class OneShot : public Component {
+ public:
+  OneShot(std::string name, sync::ChannelEnd& end, SimTime at, std::function<void()> fn)
+      : Component(std::move(name)), at_(at), fn_(std::move(fn)) {
+    add_adapter("in", end);
+  }
+
+  void init() override {
+    kernel().schedule_at(at_, [this] { fn_(); });
+  }
+
+ private:
+  SimTime at_;
+  std::function<void()> fn_;
 };
 
 StreamPair build_stream(Simulation& sim, int count = 200) {
@@ -135,8 +173,53 @@ TEST_P(FaultModes, DeadlockSurfacesAsSimulationError) {
     EXPECT_EQ(e.kind(), ErrorKind::kDeadlock);
     EXPECT_EQ(e.component(), "lonely");
     EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+    if (GetParam() == RunMode::kCoscheduled) {
+      // The diagnostic names the adapter the blocked component waits on.
+      EXPECT_NE(std::string(e.what()).find("blocked on adapter 'out'"), std::string::npos)
+          << e.what();
+    }
     ASSERT_NE(e.stats(), nullptr);
     EXPECT_EQ(e.stats()->outcome, RunOutcome::kError);
+  }
+}
+
+TEST(Faults, MessageBehindClockIsCausalityError) {
+  for (unsigned workers : {0u, 1u}) {
+    const RunMode mode = workers == 0 ? RunMode::kCoscheduled : RunMode::kPooled;
+    Simulation sim;
+    auto& ch = sim.add_channel("tap", {.latency = from_ns(5)});
+    auto tap = std::make_unique<TapTransport>();
+    TapTransport* tp = tap.get();
+    ch.set_transport(std::move(tap));
+    sim.add_component<Counter>("quiet", ch.end_a());
+    // At 50 ns, a data message sent "at 10 ns" lands in the victim's
+    // receive ring: its receive time, 15 ns, is behind the victim's clock.
+    sim.add_component<OneShot>("victim", ch.end_b(), from_ns(50), [tp] {
+      sync::Message m;
+      m.timestamp = from_ns(10);
+      m.type = kDataType;
+      tp->inject(1, m);
+    });
+
+    try {
+      sim.run(from_us(1.0), mode, workers);
+      FAIL() << to_string(mode) << ": run() should have thrown";
+    } catch (const SimulationError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.kind(), ErrorKind::kCausality) << what;
+      EXPECT_EQ(e.component(), "victim");
+      EXPECT_EQ(e.sim_time(), from_ns(50));
+      EXPECT_NE(what.find("causality violation"), std::string::npos) << what;
+      EXPECT_NE(what.find("adapter 'in' (channel 'tap')"), std::string::npos) << what;
+      EXPECT_NE(what.find("receive time 15 ns"), std::string::npos) << what;
+      EXPECT_NE(what.find("clock 50 ns"), std::string::npos) << what;
+      ASSERT_NE(e.stats(), nullptr);
+      EXPECT_EQ(e.stats()->error_kind, ErrorKind::kCausality);
+      obs::SummaryInputs in;
+      in.stats = e.stats().get();
+      EXPECT_NE(obs::summary_json(in).find("\"error_kind\":\"causality violation\""),
+                std::string::npos);
+    }
   }
 }
 

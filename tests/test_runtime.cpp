@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "runtime/runner.hpp"
@@ -73,6 +74,137 @@ class Forwarder : public Component {
  private:
   sync::Adapter* in_;
   sync::Adapter* out_;
+};
+
+/// Relays in both directions: left to right and right to left.
+class Bidi : public Component {
+ public:
+  Bidi(std::string name, sync::ChannelEnd& left, sync::ChannelEnd& right)
+      : Component(std::move(name)) {
+    l_ = &add_adapter("l", left);
+    r_ = &add_adapter("r", right);
+    l_->set_handler(
+        [this](const sync::Message& m, SimTime rx) { r_->send(m.type, m.as<int>(), rx); });
+    r_->set_handler(
+        [this](const sync::Message& m, SimTime rx) { l_->send(m.type, m.as<int>(), rx); });
+  }
+
+ private:
+  sync::Adapter* l_;
+  sync::Adapter* r_;
+};
+
+/// Star hub: relays a message with hop budget v > 0 arriving from leaf i to
+/// leaf (i + v) % n with budget v - 1.
+class StarHub : public Component {
+ public:
+  StarHub(std::string name, const std::vector<sync::Channel*>& chans)
+      : Component(std::move(name)) {
+    for (std::size_t i = 0; i < chans.size(); ++i) {
+      sync::Adapter& a = add_adapter("leaf" + std::to_string(i), chans[i]->end_a());
+      a.set_handler([this, i](const sync::Message& m, SimTime rx) {
+        int v = m.as<int>();
+        if (v > 0) leaves_[(i + v) % leaves_.size()]->send(kPingType, v - 1, rx);
+      });
+      leaves_.push_back(&a);
+    }
+  }
+
+ private:
+  std::vector<sync::Adapter*> leaves_;
+};
+
+/// Star leaf: injects a message with hop budget `hops` every `period` and
+/// bounces received messages back to the hub after a local `delay`.
+class StarLeaf : public Component {
+ public:
+  StarLeaf(std::string name, sync::Channel& ch, SimTime period, SimTime delay, int hops)
+      : Component(std::move(name)), ch_(&ch), period_(period), delay_(delay), hops_(hops) {
+    out_ = &add_adapter("hub", ch.end_b());
+    out_->set_handler([this](const sync::Message& m, SimTime) {
+      int v = m.as<int>();
+      if (v > 0) {
+        kernel().schedule_in(delay_, [this, v] { out_->send(kPingType, v - 1, kernel().now()); });
+      }
+    });
+  }
+
+  /// Retune this leaf's channel to `interval` from a model event at `at`,
+  /// and clear the override again at `clear_at` — a mid-run change the
+  /// coscheduled runner learns of only when it next looks at the hub.
+  void retune(SimTime at, SimTime interval, SimTime clear_at) {
+    tune_at_ = at;
+    tune_interval_ = interval;
+    clear_at_ = clear_at;
+  }
+
+  void init() override {
+    kernel().schedule_at(0, [this] { inject(); });
+    if (tune_interval_ != 0) {
+      kernel().schedule_at(tune_at_, [this] { ch_->set_tuned_sync_interval(tune_interval_); });
+      kernel().schedule_at(clear_at_, [this] { ch_->set_tuned_sync_interval(0); });
+    }
+  }
+
+ private:
+  void inject() {
+    out_->send(kPingType, hops_, kernel().now());
+    kernel().schedule_in(period_, [this] { inject(); });
+  }
+
+  sync::Channel* ch_;
+  sync::Adapter* out_;
+  SimTime period_;
+  SimTime delay_;
+  int hops_;
+  SimTime tune_at_ = 0;
+  SimTime tune_interval_ = 0;
+  SimTime clear_at_ = 0;
+};
+
+/// Per-component schedule fingerprint of a coscheduled run.
+struct ScheduleGolden {
+  const char* name;
+  std::uint64_t batches;
+  std::uint64_t events;
+  std::uint64_t tx_syncs;
+  std::uint64_t digest;
+};
+
+void expect_schedule(const RunStats& st, const std::vector<ScheduleGolden>& golden) {
+  ASSERT_EQ(st.components.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const ComponentStats& c = st.components[i];
+    std::uint64_t syncs = 0;
+    for (const AdapterStats& a : c.adapters) syncs += a.totals.tx_syncs;
+    EXPECT_EQ(c.name, golden[i].name);
+    EXPECT_EQ(c.batches, golden[i].batches) << c.name;
+    EXPECT_EQ(c.events, golden[i].events) << c.name;
+    EXPECT_EQ(syncs, golden[i].tx_syncs) << c.name;
+    EXPECT_EQ(c.digest.value(), golden[i].digest) << c.name;
+  }
+}
+
+/// Fingerprint of how a runner interleaves components: folds the sequence
+/// in which they cross 1 ns checkpoint boundaries, across all components.
+/// Crossings that finish() flushes are skipped: when a component finishes
+/// once its next action has passed the end time is not part of the
+/// schedule (a full rescan finishes it as soon as it sees that action, a
+/// heap when the action reaches the top).
+class InterleavingHash : public CkptHook {
+ public:
+  void on_boundary(Component& c, SimTime boundary) override {
+    if (c.finished()) return;
+    for (char ch : c.name()) mix(static_cast<unsigned char>(ch));
+    mix(boundary);
+    ++crossings;
+  }
+
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+  std::uint64_t crossings = 0;
+
+ private:
+  void mix(std::uint64_t v) { hash = (hash ^ v) * 1099511628211ULL; }
 };
 
 /// Pure local event loop, no adapters.
@@ -286,23 +418,6 @@ TEST(RuntimePooled, ExplicitWorkerCountsMatchCoscheduled) {
 TEST(RuntimePooled, ChainWithFewerWorkersThanComponents) {
   // A four-component chain on two workers: components must park and resume
   // as horizons advance, and every message still arrives exactly on time.
-  class Bidi : public Component {
-   public:
-    Bidi(std::string name, sync::ChannelEnd& left, sync::ChannelEnd& right)
-        : Component(std::move(name)) {
-      l_ = &add_adapter("l", left);
-      r_ = &add_adapter("r", right);
-      l_->set_handler(
-          [this](const sync::Message& m, SimTime rx) { r_->send(m.type, m.as<int>(), rx); });
-      r_->set_handler(
-          [this](const sync::Message& m, SimTime rx) { l_->send(m.type, m.as<int>(), rx); });
-    }
-
-   private:
-    sync::Adapter* l_;
-    sync::Adapter* r_;
-  };
-
   Simulation sim;
   auto& c1 = sim.add_channel("c1", {.latency = 100});
   auto& c2 = sim.add_channel("c2", {.latency = 100});
@@ -314,6 +429,83 @@ TEST(RuntimePooled, ChainWithFewerWorkersThanComponents) {
   sim.run(from_us(20.0), RunMode::kPooled, 2);
   EXPECT_EQ(refl.reflected, 25);
   EXPECT_EQ(pinger.pong_times.size(), 25u);
+}
+
+// The coscheduled runner's choice of which component to advance next must
+// not depend on how it finds the minimum. The goldens below were recorded
+// from a runner that rescanned every component per selection: per-component
+// batch, event and SYNC counts and digests, and an interleaving hash.
+// Mixed latencies and sync intervals make many components tie and
+// interleave; the retuning leaf changes the hub's SYNC grid behind the
+// runner's back.
+
+/// Hub plus six leaves with mixed latencies, sync intervals and loads.
+/// With `retune`, leaf 2 retunes its channel mid-run.
+RunStats run_star(bool retune, CkptHook* hook) {
+  Simulation sim;
+  const SimTime lat[] = {from_ns(3), from_ns(5), from_ns(7), from_ns(4), from_ns(10), from_ns(2)};
+  const SimTime si[] = {0, from_ns(2.5), from_ns(7) / 3, 0, from_ns(2.5), from_ns(1)};
+  std::vector<sync::Channel*> chans;
+  for (int i = 0; i < 6; ++i) {
+    chans.push_back(&sim.add_channel("star" + std::to_string(i),
+                                     {.latency = lat[i], .sync_interval = si[i]}));
+  }
+  sim.add_component<StarHub>("hub", chans);
+  for (int i = 0; i < 6; ++i) {
+    auto& leaf = sim.add_component<StarLeaf>("leaf" + std::to_string(i), *chans[i],
+                                             from_ns(3 + 2 * i), from_ns(0.3 * (i + 1)), 2 + i % 3);
+    if (retune && i == 2) leaf.retune(from_us(0.8), from_ns(1.1), from_us(1.6));
+  }
+  if (hook != nullptr) {
+    for (const auto& c : sim.components()) c->set_ckpt_hook(hook, 0, from_ns(1));
+  }
+  return sim.run(from_us(2.5), RunMode::kCoscheduled);
+}
+
+TEST(RuntimeCoscheduled, StarScheduleMatchesGolden) {
+  expect_schedule(run_star(true, nullptr), {
+    {"hub", 7260, 0, 6396, 0x133196f90dac429eULL},
+    {"leaf0", 1428, 1190, 0, 0x5c6101c37bfb21f8ULL},
+    {"leaf1", 1407, 727, 500, 0xe26b73f8b0f20009ULL},
+    {"leaf2", 4251, 1545, 1444, 0x72ec1297fe829a6dULL},
+    {"leaf3", 1154, 470, 556, 0x2a29790cef8a6e05ULL},
+    {"leaf4", 1680, 725, 955, 0x14973b209dc78a13ULL},
+    {"leaf5", 3657, 662, 2308, 0xdd2169311fc7691eULL},
+  });
+}
+
+// Without a retune every key the runner holds is exact, so the order in
+// which components run must match the rescan's too, not only the counts.
+TEST(RuntimeCoscheduled, StarInterleavingMatchesGolden) {
+  InterleavingHash h;
+  run_star(false, &h);
+  EXPECT_EQ(h.crossings, 17499u);
+  EXPECT_EQ(h.hash, 0x13f103d2ed0ca72bULL);
+}
+
+TEST(RuntimeCoscheduled, ChainScheduleMatchesGolden) {
+  Simulation sim;
+  auto& c1 = sim.add_channel("c1", {.latency = from_ns(1)});
+  auto& c2 = sim.add_channel("c2", {.latency = from_ns(3), .sync_interval = from_ns(1)});
+  auto& c3 = sim.add_channel("c3", {.latency = from_ns(2)});
+  auto& c4 = sim.add_channel("c4", {.latency = from_ns(4), .sync_interval = from_ns(3)});
+  sim.add_component<Pinger>("pinger", c1.end_a(), 1000);
+  sim.add_component<Bidi>("f1", c1.end_b(), c2.end_a());
+  sim.add_component<Bidi>("f2", c2.end_b(), c3.end_a());
+  sim.add_component<Bidi>("f3", c3.end_b(), c4.end_a());
+  sim.add_component<Reflector>("reflector", c4.end_b());
+  InterleavingHash h;
+  for (const auto& c : sim.components()) c->set_ckpt_hook(&h, 0, from_ns(1));
+  RunStats st = sim.run(from_us(2.0), RunMode::kCoscheduled);
+  EXPECT_EQ(h.crossings, 9998u);
+  EXPECT_EQ(h.hash, 0xfda8d97fd69239abULL);
+  expect_schedule(st, {
+    {"pinger", 2001, 1, 1900, 0xcacc6ebfbb610e9eULL},
+    {"f1", 2001, 0, 3802, 0x131e2d65a31c4b67ULL},
+    {"f2", 2001, 0, 2802, 0x7d6ddb2bb61d9926ULL},
+    {"f3", 1334, 0, 1534, 0x52768b75102d60cdULL},
+    {"reflector", 734, 0, 634, 0xaf5c3f1693dc5ef7ULL},
+  });
 }
 
 TEST(RuntimeDescribe, ManifestListsWiring) {
