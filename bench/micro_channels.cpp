@@ -100,7 +100,7 @@ BenchResult bench_trunk_demux(std::uint64_t iters) {
   int i = 0;
   BenchResult r = benchutil::run_bench("trunk_demux", iters, [&] {
     ports[static_cast<std::size_t>(i++ % kSubs)].send(kUserTypeBase, 1, ++t);
-    rx.deliver_one(t + 500 + 8);
+    rx.deliver_all(t + 500 + 8);
   });
   if (delivered != r.ops) std::printf("  (delivered %llu of %llu)\n",
                                       static_cast<unsigned long long>(delivered),

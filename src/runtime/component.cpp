@@ -150,13 +150,15 @@ void Component::finish() {
 
 bool Component::send_nulls(SimTime bound) {
   bool sent = false;
-  for (auto& a : adapters_) {
-    if (a->end().can_promise(bound)) {
-      a->send_null(bound);
-      sent = true;
-    }
-  }
+  for (auto& a : adapters_) sent |= a->send_null(bound);
   return sent;
+}
+
+bool Component::promise_open(SimTime bound) const {
+  for (const auto& a : adapters_) {
+    if (a->end().can_promise(bound)) return true;
+  }
+  return false;
 }
 
 sync::Adapter* Component::limiting_adapter() {
@@ -208,6 +210,10 @@ void Component::run_thread(ThreadedShared& shared) {
     // (classic null-message iteration).
     SimTime promised = s;
     send_nulls(promised);
+    // A blocking ring that is full drops the null (ChannelEnd::send): keep
+    // offering it while we wait, or a peer blocked sending to us would, once
+    // unblocked, wait for a promise that never comes.
+    bool open = promise_open(promised);
     std::uint64_t w0 = rdcycles();
     // Attribute the wait to the currently limiting adapter.
     sync::Adapter* limiting = limiting_adapter();
@@ -228,12 +234,16 @@ void Component::run_thread(ThreadedShared& shared) {
       if (s2 > promised) {
         promised = s2;
         send_nulls(promised);
+        open = promise_open(promised);
         wait.reset();  // peer progressed; expect more soon, spin again
         shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
         if (watch_deadline != 0) {
           watch_epoch = shared.progress_epoch.load(std::memory_order_acquire);
           watch_deadline = rdcycles() + shared.watchdog_cycles;
         }
+      } else if (open) {
+        send_nulls(promised);
+        open = promise_open(promised);
       }
       wait.step();
       if (watch_deadline != 0 && rdcycles() >= watch_deadline) {

@@ -158,6 +158,11 @@ class Component {
   /// blocked peers could have become runnable.
   bool send_nulls(SimTime bound);
 
+  /// True while some peer has not yet been promised `bound`: a kBlocking
+  /// channel drops a null that finds its ring full, so the threaded wait
+  /// loop re-offers it until this turns false.
+  bool promise_open(SimTime bound) const;
+
   /// The adapter currently limiting safe_bound() (nullptr without
   /// adapters). Blocked wait time is attributed to it for the profiler.
   sync::Adapter* limiting_adapter();

@@ -24,8 +24,9 @@
 namespace splitsim::runtime {
 
 /// Run `components` (already prepare()d) to completion on the calling
-/// thread. Channels must be in ChannelMode::kSpillSingleThread so a send
-/// never blocks on its own thread. Throws SimulationError(kDeadlock) when
+/// thread. Channels must be in ChannelMode::kSpillLocked (Simulation::run
+/// sets it for every non-threaded run) so a send never blocks on its own
+/// thread. Throws SimulationError(kDeadlock) when
 /// the earliest component is blocked; model and transport exceptions are
 /// rethrown as SimulationError(kModelError / kTransport) naming the
 /// component that was running.

@@ -19,11 +19,13 @@ namespace splitsim::runtime {
 
 namespace {
 
+/// Max advance_once() batches per scheduling quantum (fairness bound).
+constexpr int kBatchQuantum = 1024;
+
 class PooledRunner {
  public:
   PooledRunner(const std::vector<Component*>& components, const PooledOptions& opts)
-      : quantum_(std::max(1, opts.batch_quantum)),
-        watchdog_cycles_(opts.watchdog_cycles),
+      : watchdog_cycles_(opts.watchdog_cycles),
         controller_(opts.controller),
         epoch_cycles_(opts.epoch_cycles) {
     slots_.reserve(components.size());
@@ -38,7 +40,7 @@ class PooledRunner {
 
     // A controller needs stable per-worker homes to migrate between, so it
     // forces affinity scheduling on.
-    affinity_ = opts.affinity || controller_ != nullptr;
+    affinity_ = controller_ != nullptr;
     if (affinity_) wq_.resize(workers_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].home = static_cast<unsigned>(i % workers_);
@@ -352,12 +354,12 @@ class PooledRunner {
     }
   }
 
-  /// One scheduling quantum of `c`: advance up to quantum_ batches, then
+  /// One scheduling quantum of `c`: advance up to kBatchQuantum batches, then
   /// classify the component as finished / runnable / blocked (parking it
   /// with wait attribution in the blocked case).
   void run_quantum(Slot& s, Component* c, bool& progressed, bool& finished, bool& runnable) {
     int batches = 0;
-    while (batches < quantum_) {
+    while (batches < kBatchQuantum) {
       // Another worker failed: stop mid-quantum instead of finishing a
       // potentially long quantum against dead peers.
       if (abort_.load(std::memory_order_relaxed)) return;
@@ -497,7 +499,6 @@ class PooledRunner {
 
   static constexpr std::uint64_t kWatchdogMinQuanta = 128;
 
-  const int quantum_;
   const std::uint64_t watchdog_cycles_;
   SimTime watchdog_min_time_ = 0;
   std::uint64_t watchdog_since_ = 0;

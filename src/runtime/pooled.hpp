@@ -111,8 +111,6 @@ struct PooledOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(), always
   /// clamped to [1, #components].
   unsigned workers = 0;
-  /// Max advance_once() batches per scheduling quantum (fairness knob).
-  int batch_quantum = 1024;
   /// Slow-progress watchdog: abort with an attributed
   /// SimulationError(kDeadlock) when the minimum simulation time across
   /// live components fails to advance for this many TSC cycles even though
@@ -121,14 +119,12 @@ struct PooledOptions {
   /// when nothing is runnable). 0 = disabled.
   std::uint64_t watchdog_cycles = 0;
 
-  /// Epoch-boundary controller (adaptive orchestration); implies affinity
-  /// scheduling. Must outlive the run. nullptr = no epochs.
+  /// Epoch-boundary controller (adaptive orchestration); switches the pool
+  /// to per-worker affinity queues. Must outlive the run. nullptr = no
+  /// epochs, one global ready queue.
   PooledController* controller = nullptr;
   /// Wall-clock epoch length in TSC cycles (only with a controller).
   std::uint64_t epoch_cycles = 0;
-  /// Per-worker affinity queues with work stealing even without a
-  /// controller (the controller turns this on regardless).
-  bool affinity = false;
   /// When set, the runner exports live per-channel ("pooled.wait.chan.<c>")
   /// and per-component ("pooled.wait.comp.<c>") blocked-wait cycle counters
   /// into this registry mid-run — the WTPG edge data, available while the
@@ -137,7 +133,8 @@ struct PooledOptions {
 };
 
 /// Run `components` (already prepare()d) to completion on a worker pool.
-/// Channels must be in ChannelMode::kSpillLocked so producers never block.
+/// Channels must be in ChannelMode::kSpillLocked (Simulation::run sets it
+/// for every non-threaded run) so producers never block a worker.
 /// Throws SimulationError(kDeadlock) on a synchronization deadlock (mirrors
 /// the coscheduled runner's check); model exceptions escaping a component
 /// are rethrown as SimulationError(kModelError) naming that component.

@@ -129,9 +129,10 @@ void Simulation::resolve_peers() {
 }
 
 RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
-  sync::ChannelMode cm = mode == RunMode::kCoscheduled ? sync::ChannelMode::kSpillSingleThread
-                         : mode == RunMode::kPooled    ? sync::ChannelMode::kSpillLocked
-                                                       : sync::ChannelMode::kBlocking;
+  // Only threaded runs give every producer its own thread to wait on; the
+  // coscheduled and pooled runners share threads, so their sends spill.
+  sync::ChannelMode cm =
+      mode == RunMode::kThreaded ? sync::ChannelMode::kBlocking : sync::ChannelMode::kSpillLocked;
   for (auto& ch : channels_) ch->set_mode(cm);
   resolve_peers();
 

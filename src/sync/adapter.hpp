@@ -59,29 +59,11 @@ class Adapter {
     return end_->horizon();
   }
 
-  /// Deliver the oldest pending message if its receive time is <= `now`.
-  /// Returns true if a message was delivered.
-  bool deliver_one(SimTime now) {
-    const Message* m = end_->peek();
-    if (m == nullptr || m->timestamp + config().latency > now) return false;
-    std::uint64_t c0 = rdcycles();
-    digest_.add(hash_event(channel_hash(), *m));
-    if (obs::tracing_enabled()) {
-      obs::record_flow(false, trace_track_, m->timestamp + config().latency,
-                       obs::flow_id(channel_hash(), m->timestamp));
-    }
-    dispatch(*m, m->timestamp + config().latency);
-    end_->consume();
-    counters_.rx_msgs++;
-    counters_.rx_cycles += rdcycles() - c0;
-    return true;
-  }
-
   /// Deliver every pending message with receive time <= `now` in one
   /// batched ring/spill traversal (single atomic acquire per batch; see
-  /// ChannelEnd::drain_until). Per-message semantics — digest fold,
-  /// dispatch at timestamp + latency, FIFO order — match deliver_one().
-  /// Returns the number of messages delivered.
+  /// ChannelEnd::drain_until). Each message is folded into the digest and
+  /// dispatched at timestamp + latency, in FIFO order. Returns the number
+  /// of messages delivered.
   std::size_t deliver_all(SimTime now) {
     SimTime lat = config().latency;
     if (now < lat) return 0;  // nothing can have a receive time <= now yet
@@ -128,19 +110,22 @@ class Adapter {
     if (next_sync_due() <= now) send_sync(now);
   }
 
-  void send_sync(SimTime ts) {
+  /// Returns false when a full blocking ring dropped the SYNC (see
+  /// ChannelEnd::send): the promise is still open and may be sent again.
+  bool send_sync(SimTime ts) {
     Message m;
     m.timestamp = ts;
     m.type = static_cast<std::uint16_t>(MsgType::kSync);
     counters_.tx_cycles += end_->send(m);
+    if (end_->can_promise(ts)) return false;
     counters_.tx_syncs++;
+    return true;
   }
 
   /// Null message while blocked: promises we send nothing before `promise`.
-  /// No-op unless it would actually advance the peer's horizon.
-  void send_null(SimTime promise) {
-    if (end_->can_promise(promise)) send_sync(promise);
-  }
+  /// No-op unless it would actually advance the peer's horizon. Returns true
+  /// if the promise went out.
+  bool send_null(SimTime promise) { return end_->can_promise(promise) && send_sync(promise); }
 
   /// Terminal message: peer's horizon becomes unbounded.
   void send_fin() {

@@ -48,40 +48,22 @@ const ChannelConfig& ChannelEnd::config() const { return channel_->cfg_; }
 const std::string& ChannelEnd::channel_name() const { return channel_->name_; }
 
 bool ChannelEnd::push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles) {
-  switch (channel_->mode_) {
-    case ChannelMode::kSpillSingleThread:
-      // Producer and consumer share a thread: blocking would deadlock, so we
-      // overflow into an unbounded spill queue. Ordering: once spilling, keep
-      // spilling until the consumer (same thread) has drained the spill.
-      if (!tx_spill_->empty() || !tx_->try_push(msg)) {
-        tx_spill_->push_back(msg);
-        // Count maintained even without the lock protocol so the obs
-        // reporter can read spill depth without touching the deque.
-        tx_spill_count_->fetch_add(1, std::memory_order_relaxed);
-        tx_stalls_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-
-    case ChannelMode::kSpillLocked: {
-      // Pooled runs: never block a worker on ring space. FIFO is preserved
-      // by the invariant that every ring message is older than every spill
-      // message: we only push to the ring after observing an empty spill
-      // (acquire on the count pairs with the consumer's release decrement,
-      // so all older spilled messages were already consumed).
-      if (tx_spill_count_->load(std::memory_order_acquire) == 0 && tx_->try_push(msg)) {
-        return true;
-      }
-      {
-        std::lock_guard<std::mutex> g(channel_->spill_mu_);
-        tx_spill_->push_back(msg);
-      }
-      tx_spill_count_->fetch_add(1, std::memory_order_release);
-      tx_stalls_.fetch_add(1, std::memory_order_relaxed);
+  if (channel_->mode_ == ChannelMode::kSpillLocked) {
+    // Never wait for ring space. FIFO is preserved by the invariant that
+    // every ring message is older than every spill message: we only push to
+    // the ring after observing an empty spill (acquire on the count pairs
+    // with the consumer's release decrement, so all older spilled messages
+    // were already consumed).
+    if (tx_spill_count_->load(std::memory_order_acquire) == 0 && tx_->try_push(msg)) {
       return true;
     }
-
-    case ChannelMode::kBlocking:
-      break;
+    {
+      std::lock_guard<std::mutex> g(channel_->spill_mu_);
+      tx_spill_->push_back(msg);
+    }
+    tx_spill_count_->fetch_add(1, std::memory_order_release);
+    tx_stalls_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
   if (direct_send_) {
     // Socket-style transport: the frame write itself blocks on the kernel
@@ -91,6 +73,10 @@ bool ChannelEnd::push_with_backpressure(const Message& msg, std::uint64_t& spin_
     return true;
   }
   if (tx_->try_push(msg)) return true;
+  // A SYNC only raises the peer's horizon, so it is dropped rather than
+  // waited for: the peer may itself be blocked sending data to us, and
+  // neither would ever drain the other's ring.
+  if (msg.is_sync()) return false;
   tx_stalls_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t start = rdcycles();
   WaitState wait;
@@ -134,10 +120,10 @@ std::uint64_t ChannelEnd::send(Message msg) {
       ckpt_window_.push_back({msg.timestamp, hash_event(ckpt_channel_hash_, msg)});
     }
   }
+  std::uint64_t spin = 0;
+  if (!push_with_backpressure(msg, spin)) return 0;  // dropped SYNC: promise stays open
   if (msg.timestamp > last_sent_) last_sent_ = msg.timestamp;
   sent_anything_ = true;
-  std::uint64_t spin = 0;
-  push_with_backpressure(msg, spin);
   if (wire_ != nullptr) {
     // Cross-process transport: account the frame we just put on the wire
     // (relaxed bumps on a cached pointer — inproc channels never pay this).
@@ -179,39 +165,21 @@ ChannelEnd::InflightSummary ChannelEnd::inflight_at(SimTime boundary) {
 }
 
 const Message* ChannelEnd::spill_front(bool& from_spill) {
-  switch (channel_->mode_) {
-    case ChannelMode::kSpillSingleThread:
-      if (!rx_spill_->empty()) {
-        from_spill = true;
-        return &rx_spill_->front();
-      }
-      return nullptr;
-    case ChannelMode::kSpillLocked: {
-      if (rx_spill_count_->load(std::memory_order_acquire) == 0) return nullptr;
-      std::lock_guard<std::mutex> g(channel_->spill_mu_);
-      if (rx_spill_->empty()) return nullptr;
-      from_spill = true;
-      // Safe to use after unlocking: deque references are stable under
-      // push_back, and only this consumer ever pops.
-      return &rx_spill_->front();
-    }
-    case ChannelMode::kBlocking:
-      return nullptr;
-  }
-  return nullptr;
+  if (rx_spill_count_->load(std::memory_order_acquire) == 0) return nullptr;
+  std::lock_guard<std::mutex> g(channel_->spill_mu_);
+  if (rx_spill_->empty()) return nullptr;
+  from_spill = true;
+  // Safe to use after unlocking: deque references are stable under
+  // push_back, and only this consumer ever pops.
+  return &rx_spill_->front();
 }
 
 void ChannelEnd::spill_pop() {
-  if (channel_->mode_ == ChannelMode::kSpillLocked) {
-    {
-      std::lock_guard<std::mutex> g(channel_->spill_mu_);
-      rx_spill_->pop_front();
-    }
-    rx_spill_count_->fetch_sub(1, std::memory_order_release);
-  } else {
+  {
+    std::lock_guard<std::mutex> g(channel_->spill_mu_);
     rx_spill_->pop_front();
-    rx_spill_count_->fetch_sub(1, std::memory_order_relaxed);
   }
+  rx_spill_count_->fetch_sub(1, std::memory_order_release);
 }
 
 const Message* ChannelEnd::peek() {

@@ -15,18 +15,21 @@
 // latency; parallel execution produces the same simulation results as
 // sequential execution.
 //
-// A channel operates in one of three modes, chosen by the runtime per run:
-//   * kBlocking (threaded runs): pure SPSC rings; a producer that finds the
-//     ring full waits with the adaptive spin/yield/park policy until the
-//     consumer thread drains it.
-//   * kSpillSingleThread (coscheduled runs): producer and consumer share one
-//     thread, so blocking would deadlock; a full ring overflows into an
-//     unbounded spill queue with no locking.
-//   * kSpillLocked (pooled runs): M components multiplex over N workers, so
-//     a producer must never hold its worker hostage waiting for a consumer
-//     that has no worker to run on (or has finished and will never drain its
-//     rings). A full ring overflows into a mutex-protected spill queue
-//     instead; the common non-full path stays lock-free SPSC.
+// A channel's mode only decides what a producer does when its transmit ring
+// is full. The runtime picks it per run:
+//   * kBlocking (threaded runs, and transports that force blocking): pure
+//     SPSC rings; a producer that finds the ring full waits with the
+//     adaptive spin/yield/park policy until the consumer thread drains it.
+//     A SYNC that finds the ring full is dropped instead (ChannelEnd::send),
+//     so two peers blocked on each other's rings cannot deadlock on nulls.
+//   * kSpillLocked (coscheduled and pooled runs): a producer must never wait
+//     for a consumer that shares its thread (coscheduled), has no worker to
+//     run on, or has finished and will never drain its rings (pooled). A
+//     full ring overflows into a mutex-protected spill queue instead; the
+//     common non-full path stays lock-free SPSC.
+// The receive side never looks at the mode: after the ring it checks the
+// peer's spill count, and only takes the spill lock when that is nonzero. A
+// blocking channel never spills, so there the check is one acquire load.
 #pragma once
 
 #include <atomic>
@@ -60,11 +63,10 @@ struct ChannelConfig {
   }
 };
 
-/// How a full transmit ring is handled (see file comment).
+/// How a producer handles a full transmit ring (see file comment).
 enum class ChannelMode {
-  kBlocking,           ///< threaded: wait (spin/yield/park) for ring space
-  kSpillSingleThread,  ///< coscheduled: unbounded spill, no locking
-  kSpillLocked,        ///< pooled: unbounded spill behind a mutex
+  kBlocking,     ///< threaded: wait (spin/yield/park) for ring space
+  kSpillLocked,  ///< coscheduled and pooled: unbounded spill behind a mutex
 };
 
 /// Thrown out of a blocking send when the run's abort flag trips: the
@@ -91,8 +93,11 @@ class ChannelEnd {
   // ---- producer side -------------------------------------------------
   /// Send `msg`; data timestamps are bumped to stay strictly increasing,
   /// SYNC/FIN timestamps are clamped up to the wire timestamp (ties
-  /// allowed). Blocks (kBlocking mode) or grows the spill queue (spill
-  /// modes) when the ring is full. Returns cycles spent on backpressure.
+  /// allowed). Blocks (kBlocking) or grows the spill queue (kSpillLocked)
+  /// when the ring is full, except that a kBlocking channel drops a SYNC
+  /// that finds its ring full: last_sent() stays put, so the promise stays
+  /// open (can_promise) for the sender to offer again. Returns cycles spent
+  /// on backpressure.
   std::uint64_t send(Message msg);
 
   /// Highest timestamp sent so far on the wire (data or sync).
@@ -141,13 +146,13 @@ class ChannelEnd {
 
   /// Batched drain: process every pending message whose wire timestamp is
   /// <= `wire_limit` in one ring traversal — a single atomic acquire per
-  /// batch (and, in kSpillLocked mode, a single mutex acquisition per
-  /// batch) instead of one per message. Sync/FIN messages are consumed
-  /// internally regardless of `wire_limit` (they only advance the horizon,
-  /// exactly as peek() would); `on_data(const Message&)` is invoked for
-  /// each data message in FIFO order. A data message beyond the limit stops
-  /// the drain (everything behind it is even newer). Returns the number of
-  /// data messages delivered.
+  /// batch (plus, only while the peer has spilled, a single mutex
+  /// acquisition per batch) instead of one per message. Sync/FIN messages
+  /// are consumed internally regardless of `wire_limit` (they only advance
+  /// the horizon, exactly as peek() would); `on_data(const Message&)` is
+  /// invoked for each data message in FIFO order. A data message beyond the
+  /// limit stops the drain (everything behind it is even newer). Returns
+  /// the number of data messages delivered.
   template <typename F>
   std::size_t drain_until(SimTime wire_limit, F&& on_data);
 
@@ -158,7 +163,7 @@ class ChannelEnd {
   // ---- observability (safe to read from the obs reporter thread) -----
   /// Approximate receive-ring occupancy (atomic head/tail difference).
   std::size_t rx_ring_depth() const { return rx_->size(); }
-  /// Messages currently parked in the peer's spill queue (spill modes).
+  /// Messages currently parked in the peer's spill queue.
   std::size_t rx_spill_depth() const {
     return rx_spill_count_->load(std::memory_order_relaxed);
   }
@@ -189,6 +194,7 @@ class ChannelEnd {
   friend class Channel;
   ChannelEnd() = default;
 
+  /// False only for a SYNC dropped at a full kBlocking ring (see send).
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
   void note_received(SimTime ts) {
     if (ts > last_recv_) last_recv_ = ts;
@@ -270,12 +276,6 @@ class Channel {
   /// (the default) restores unconditional blocking.
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
 
-  /// Back-compat shorthand: single-threaded == coscheduled spill mode.
-  void set_single_threaded(bool st) {
-    mode_ = st ? ChannelMode::kSpillSingleThread : ChannelMode::kBlocking;
-  }
-  bool single_threaded() const { return mode_ == ChannelMode::kSpillSingleThread; }
-
   /// Adaptive sync-interval override (orch/adaptive.hpp). 0 clears the
   /// override (back to the configured interval); any other value is clamped
   /// to [1, latency] — the legal range where SYNCs both make progress and
@@ -307,8 +307,8 @@ class Channel {
   std::unique_ptr<Transport> transport_;      ///< owns the rings / data path
   std::deque<Message> a_spill_;
   std::deque<Message> b_spill_;
-  // kSpillLocked state: one mutex per channel guards both spill queues; the
-  // counts let producers/consumers skip the lock entirely while empty.
+  // Spill state: one mutex per channel guards both spill queues; the counts
+  // let producers/consumers skip the lock entirely while empty.
   std::mutex spill_mu_;
   std::atomic<std::size_t> a_spill_count_{0};
   std::atomic<std::size_t> b_spill_count_{0};
@@ -351,70 +351,38 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
   if (drain_ring()) return delivered;
 
   // ---- spill tier -------------------------------------------------------
-  switch (channel_->mode_) {
-    case ChannelMode::kBlocking:
-      break;
-
-    case ChannelMode::kSpillSingleThread: {
-      std::size_t popped = 0;
-      while (!rx_spill_->empty()) {
-        const Message& front = rx_spill_->front();
-        note_received(front.timestamp);
-        if (front.is_sync() || front.is_fin()) {
-          if (front.is_fin()) fin_received_ = true;
-          rx_spill_->pop_front();
-          ++popped;
-          continue;
-        }
-        if (front.timestamp > wire_limit) break;
-        // Copy out before dispatching so a handler that sends (and spills)
-        // on this channel cannot touch the message mid-dispatch.
-        Message m = front;
-        rx_spill_->pop_front();
-        ++popped;
-        on_data(m);
-        ++delivered;
+  if (rx_spill_count_->load(std::memory_order_acquire) == 0) return delivered;
+  // That acquire synchronized with the producer's release: ring pushes that
+  // preceded the spill are visible now even if the first ring pass raced
+  // with them, and they predate everything spilled (the producer only pushes
+  // the ring after observing an empty spill). Re-drain the ring before
+  // touching the spill so FIFO order holds.
+  if (drain_ring()) return delivered;
+  spill_scratch_.clear();
+  std::size_t popped = 0;
+  {
+    std::lock_guard<std::mutex> g(channel_->spill_mu_);
+    while (!rx_spill_->empty()) {
+      const Message& m = rx_spill_->front();
+      note_received(m.timestamp);
+      if (m.is_sync() || m.is_fin()) {
+        if (m.is_fin()) fin_received_ = true;
+      } else if (m.timestamp > wire_limit) {
+        break;
+      } else {
+        spill_scratch_.push_back(m);
       }
-      if (popped != 0) rx_spill_count_->fetch_sub(popped, std::memory_order_relaxed);
-      break;
+      rx_spill_->pop_front();
+      ++popped;
     }
-
-    case ChannelMode::kSpillLocked: {
-      if (rx_spill_count_->load(std::memory_order_acquire) == 0) break;
-      // That acquire synchronized with the producer's release: ring pushes
-      // that preceded the spill are visible now even if the first ring pass
-      // raced with them, and they predate everything spilled (the producer
-      // only pushes the ring after observing an empty spill). Re-drain the
-      // ring before touching the spill so FIFO order holds.
-      if (drain_ring()) return delivered;
-      spill_scratch_.clear();
-      std::size_t popped = 0;
-      {
-        std::lock_guard<std::mutex> g(channel_->spill_mu_);
-        while (!rx_spill_->empty()) {
-          const Message& m = rx_spill_->front();
-          note_received(m.timestamp);
-          if (m.is_sync() || m.is_fin()) {
-            if (m.is_fin()) fin_received_ = true;
-          } else if (m.timestamp > wire_limit) {
-            break;
-          } else {
-            spill_scratch_.push_back(m);
-          }
-          rx_spill_->pop_front();
-          ++popped;
-        }
-      }
-      // Only the delivered prefix was popped, so the producer's
-      // ring-vs-spill FIFO invariant holds: the count stays nonzero while
-      // older spilled messages remain.
-      if (popped != 0) rx_spill_count_->fetch_sub(popped, std::memory_order_release);
-      for (const Message& m : spill_scratch_) {
-        on_data(m);
-        ++delivered;
-      }
-      break;
-    }
+  }
+  // Only the delivered prefix was popped, so the producer's ring-vs-spill
+  // FIFO invariant holds: the count stays nonzero while older spilled
+  // messages remain.
+  if (popped != 0) rx_spill_count_->fetch_sub(popped, std::memory_order_release);
+  for (const Message& m : spill_scratch_) {
+    on_data(m);
+    ++delivered;
   }
   return delivered;
 }

@@ -83,8 +83,8 @@ class Transport {
   virtual MessageRing* tx_ring(int side) = 0;
   virtual MessageRing* rx_ring(int side) = 0;
 
-  /// True when the transport supports only ChannelMode::kBlocking (no
-  /// spill tiers). All cross-process-capable transports force blocking:
+  /// True when the transport supports only ChannelMode::kBlocking (its
+  /// producers never spill). All cross-process-capable transports force blocking:
   /// the consumer never shares the producer's thread or worker pool, so
   /// blocking on ring space cannot self-deadlock, while spill queues are
   /// an address-space-local concept.

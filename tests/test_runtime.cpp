@@ -76,6 +76,41 @@ class Forwarder : public Component {
   sync::Adapter* out_;
 };
 
+/// Sends `burst` data messages at once every `period`, so a ring smaller
+/// than the burst overflows on every burst.
+class Burster : public Component {
+ public:
+  Burster(std::string name, sync::ChannelEnd& end, int burst, SimTime period)
+      : Component(std::move(name)), burst_(burst), period_(period) {
+    out_ = &add_adapter("out", end);
+  }
+
+  void init() override {
+    kernel().schedule_at(0, [this] { fire(); });
+  }
+
+ private:
+  void fire() {
+    for (int i = 0; i < burst_; ++i) out_->send(kPingType, seq_++, kernel().now());
+    kernel().schedule_in(period_, [this] { fire(); });
+  }
+
+  sync::Adapter* out_;
+  int burst_;
+  SimTime period_;
+  int seq_ = 0;
+};
+
+/// Counts what arrives and sends nothing back but SYNCs.
+class Sink : public Component {
+ public:
+  Sink(std::string name, sync::ChannelEnd& end) : Component(std::move(name)) {
+    add_adapter("in", end).set_handler([this](const sync::Message&, SimTime) { ++received; });
+  }
+
+  int received = 0;
+};
+
 /// Relays in both directions: left to right and right to left.
 class Bidi : public Component {
  public:
@@ -429,6 +464,51 @@ TEST(RuntimePooled, ChainWithFewerWorkersThanComponents) {
   sim.run(from_us(20.0), RunMode::kPooled, 2);
   EXPECT_EQ(refl.reflected, 25);
   EXPECT_EQ(pinger.pong_times.size(), 25u);
+}
+
+TEST(RuntimeSpill, OverflowingRingsMatchAcrossModes) {
+  // Rings of 4 slots against bursts of 64: coscheduled and pooled sends
+  // overflow into the spill queue, threaded sends wait for ring space (and
+  // drop SYNCs that find it full). Every mode must still deliver the same
+  // messages at the same times. Data only flows one way (burster ->
+  // forwarder -> sink), so no cycle of full rings can form.
+  static constexpr int kBurst = 64;
+  struct Outcome {
+    EventDigest digest;
+    std::uint64_t stalls = 0;
+    int received = 0;
+  };
+  auto run_once = [](RunMode mode, unsigned workers) {
+    Simulation sim;
+    auto& c1 = sim.add_channel("c1", {.latency = from_ns(100), .ring_capacity = 4});
+    auto& c2 = sim.add_channel("c2", {.latency = from_ns(100), .ring_capacity = 4});
+    sim.add_component<Burster>("burster", c1.end_a(), kBurst, from_ns(50));
+    sim.add_component<Forwarder>("fwd", c1.end_b(), c2.end_a());
+    auto& sink = sim.add_component<Sink>("sink", c2.end_b());
+    RunStats st = sim.run(from_ns(5025), mode, workers);
+    Outcome o;
+    o.digest = st.digest;
+    o.received = sink.received;
+    for (const ComponentStats& c : st.components) {
+      for (const AdapterStats& a : c.adapters) o.stalls += a.totals.backpressure_stalls;
+    }
+    return o;
+  };
+  Outcome cosched = run_once(RunMode::kCoscheduled, 0);
+  Outcome pooled = run_once(RunMode::kPooled, 2);
+  Outcome threaded = run_once(RunMode::kThreaded, 0);
+
+  // Bursts leave at 0, 50, 100, ... ns and span 63 ps. The forwarder gets
+  // those sent up to 4900 ns (99 bursts), the sink those up to 4800 ns (97).
+  EXPECT_EQ(cosched.received, 97 * kBurst);
+  EXPECT_EQ(cosched.digest.count, 196u * kBurst);
+  EXPECT_EQ(pooled.digest, cosched.digest);
+  EXPECT_EQ(threaded.digest, cosched.digest);
+  EXPECT_EQ(pooled.received, cosched.received);
+  EXPECT_EQ(threaded.received, cosched.received);
+  // The spill path actually ran.
+  EXPECT_GT(cosched.stalls, 0u);
+  EXPECT_GT(pooled.stalls, 0u);
 }
 
 // The coscheduled runner's choice of which component to advance next must

@@ -144,7 +144,7 @@ TEST(ChannelTest, FinUnboundsHorizon) {
 
 TEST(ChannelTest, SingleThreadedSpillPreservesOrder) {
   Channel ch("c", {.latency = 1, .ring_capacity = 4});
-  ch.set_single_threaded(true);
+  ch.set_mode(ChannelMode::kSpillLocked);
   constexpr int kCount = 100;  // far beyond ring capacity
   for (int i = 0; i < kCount; ++i) {
     Message m;
@@ -159,6 +159,27 @@ TEST(ChannelTest, SingleThreadedSpillPreservesOrder) {
     ch.end_b().consume();
   }
   EXPECT_EQ(ch.end_b().peek(), nullptr);
+}
+
+TEST(ChannelTest, BlockingRingDropsSyncWhenFullAndKeepsPromiseOpen) {
+  // A blocking producer never waits to send a SYNC: the peer may be blocked
+  // sending to it. The dropped promise stays open until it gets through.
+  Channel ch("c", {.latency = 100, .ring_capacity = 4});
+  Adapter tx("tx", ch.end_a());
+  Adapter rx("rx", ch.end_b());
+  for (int i = 0; i < 4; ++i) tx.send(kUserTypeBase, i, SimTime{10});  // fills the ring
+  EXPECT_EQ(ch.end_a().last_sent(), 13u);
+  EXPECT_FALSE(tx.send_null(50));
+  EXPECT_EQ(ch.end_a().last_sent(), 13u);
+  EXPECT_TRUE(ch.end_a().can_promise(50));
+  EXPECT_EQ(tx.counters().tx_syncs, 0u);
+  EXPECT_EQ(ch.end_a().tx_backpressure_stalls(), 0u);
+
+  EXPECT_EQ(rx.deliver_all(113), 4u);
+  EXPECT_TRUE(tx.send_null(50));
+  EXPECT_FALSE(ch.end_a().can_promise(50));
+  EXPECT_EQ(tx.counters().tx_syncs, 1u);
+  EXPECT_EQ(rx.in_bound(), 150u);
 }
 
 TEST(ChannelTest, EffectiveSyncIntervalClampedToLatency) {
@@ -183,8 +204,8 @@ TEST(AdapterTest, DeliverCountsAndDispatches) {
   });
   tx.send(kUserTypeBase, 99, SimTime{1000});
   EXPECT_EQ(rx.head_rx(), 1100u);
-  EXPECT_FALSE(rx.deliver_one(1099));  // not yet due
-  EXPECT_TRUE(rx.deliver_one(1100));
+  EXPECT_EQ(rx.deliver_all(1099), 0u);  // not yet due
+  EXPECT_EQ(rx.deliver_all(1100), 1u);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(rx_time, 1100u);
   EXPECT_EQ(tx.counters().tx_msgs, 1u);
@@ -224,8 +245,7 @@ TEST(TrunkTest, DemultiplexesSubchannels) {
   auto p2 = tx.subport(2, nullptr);
   p1.send(kUserTypeBase, 11, SimTime{100});
   p2.send(kUserTypeBase, 22, SimTime{100});
-  EXPECT_TRUE(rx.deliver_one(111));
-  EXPECT_TRUE(rx.deliver_one(111));
+  EXPECT_EQ(rx.deliver_all(111), 2u);
   EXPECT_EQ(got1, 11);
   EXPECT_EQ(got2, 22);
 }
@@ -243,7 +263,7 @@ TEST(TrunkTest, UnknownSubchannelThrows) {
   TrunkAdapter rx("rx", ch.end_b());
   auto p = tx.subport(9, nullptr);
   p.send(kUserTypeBase, SimTime{0});
-  EXPECT_THROW(rx.deliver_one(10), std::logic_error);
+  EXPECT_THROW(rx.deliver_all(10), std::logic_error);
 }
 
 TEST(TrunkTest, SharedSyncSingleStream) {
@@ -271,7 +291,7 @@ TEST(ChannelPropertyTest, DataTimestampsStrictlyIncreaseUnderCollidingSends) {
   // SYNC/FIN must never fall behind the wire timestamp.
   Rng rng(0xC0FFEE);
   Channel ch("p", {.latency = 50, .ring_capacity = 8});
-  ch.set_mode(ChannelMode::kSpillSingleThread);
+  ch.set_mode(ChannelMode::kSpillLocked);
   ChannelEnd& a = ch.end_a();
   SimTime t = 0;
   SimTime prev_data = 0;
@@ -311,7 +331,7 @@ TEST(ChannelPropertyTest, DataTimestampsStrictlyIncreaseUnderCollidingSends) {
 TEST(ChannelPropertyTest, HorizonNeverRegressesAcrossPeekAndConsume) {
   Rng rng(0xBEEF);
   Channel ch("h", {.latency = 70, .ring_capacity = 16});
-  ch.set_mode(ChannelMode::kSpillSingleThread);
+  ch.set_mode(ChannelMode::kSpillLocked);
   ChannelEnd& a = ch.end_a();
   ChannelEnd& b = ch.end_b();
   SimTime t = 0;

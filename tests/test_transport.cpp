@@ -442,6 +442,9 @@ TEST(TransportFailureTest, PeerDeathAttributedAndArtifactsSalvaged) {
   } guard;
 
   kv::ScenarioConfig cfg = mcheck::kv_small_config();
+  // Long enough that the run cannot finish before the 300 ms kill: the
+  // default 8 ms kv-small run takes about as long as the kill delay.
+  cfg.duration = from_ms(40);
   cfg.exec.run_mode = runtime::RunMode::kThreaded;
   cfg.exec.transport = "shm";
   cfg.exec.processes = true;
