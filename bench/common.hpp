@@ -148,7 +148,7 @@ inline splitsim::orch::FaultSpec parse_faults(const Args& args) {
 // ---- shared observability flags ------------------------------------------
 //
 // Every scenario bench also shares the obs surface:
-//   --out-dir=DIR     artifact directory (sslog, dot, trace/metrics JSON);
+//   --out-dir=DIR     artifact directory (dot, trace/metrics/summary JSON);
 //                     defaults to ProfileSpec's "splitsim-out"
 //   --trace[=PATH]    record a Chrome trace (openable in Perfetto)
 //   --metrics[=MS]    periodic metrics snapshots (default period 250 ms)

@@ -13,8 +13,9 @@
 //    thread-safe, e.g. channel ring occupancy via the SPSC atomics).
 //
 // Snapshots are cheap (one mutex for the name table, relaxed loads for the
-// values) and are serialized periodically into a metrics JSON next to the
-// profiler's `.sslog` files.
+// values) and are serialized into metrics.json. The snapshot series is
+// also the profiler's periodic log (paper §3.3): profiler::build_report
+// windows over the per-adapter counter gauges components publish here.
 #pragma once
 
 #include <array>

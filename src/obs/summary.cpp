@@ -11,14 +11,12 @@ namespace splitsim::obs {
 namespace {
 
 void append_counters(std::string& out, const sync::ProfCounters& c) {
-  out += "{\"tx_msgs\":" + std::to_string(c.tx_msgs);
-  out += ",\"rx_msgs\":" + std::to_string(c.rx_msgs);
-  out += ",\"tx_syncs\":" + std::to_string(c.tx_syncs);
-  out += ",\"rx_syncs\":" + std::to_string(c.rx_syncs);
-  out += ",\"tx_cycles\":" + std::to_string(c.tx_cycles);
-  out += ",\"rx_cycles\":" + std::to_string(c.rx_cycles);
-  out += ",\"sync_wait_cycles\":" + std::to_string(c.sync_wait_cycles);
-  out += ",\"backpressure_stalls\":" + std::to_string(c.backpressure_stalls);
+  char sep = '{';
+  for (const sync::ProfCounterField& f : sync::kProfCounterFields) {
+    out += sep;
+    out += "\"" + std::string(f.name) + "\":" + std::to_string(c.*f.member);
+    sep = ',';
+  }
   out += "}";
 }
 

@@ -15,7 +15,6 @@
 #include "obs/trace.hpp"
 #include "orch/partition.hpp"
 #include "orch/proc.hpp"
-#include "profiler/logfile.hpp"
 
 namespace splitsim::orch {
 
@@ -140,8 +139,6 @@ Instantiated instantiate_system(runtime::Simulation& sim, const System& sys,
     if (h.apps) h.apps(out.hosts[h.name].ctx);
   }
 
-  if (inst.profile.enabled) sim.enable_profiling(inst.profile.sample_period_cycles);
-
   out.component_count = sim.components().size();
   return out;
 }
@@ -161,9 +158,6 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
 void write_run_artifacts(runtime::Simulation& sim, const ProfileSpec& profile,
                          const runtime::RunStats& stats, const obs::CkptSummary* ckpt) {
   const std::string dir = profile.artifact_dir();
-  if (profile.enabled && !profile.log_dir.empty()) {
-    profiler::write_profile_logs(stats, profile.log_dir);
-  }
   if (profile.trace) {
     obs::write_chrome_trace(profile.trace_out.empty() ? dir + "/trace.json"
                                                       : profile.trace_out);
@@ -176,11 +170,11 @@ void write_run_artifacts(runtime::Simulation& sim, const ProfileSpec& profile,
   // A checkpointed run records its snapshot/restore outcome in the summary
   // even when no other obs is on: the resume tooling reads it back.
   if (profile.any_obs() || ckpt != nullptr) {
-    profiler::ProfileReport report = profiler::build_report(stats);
+    const auto& series = sim.metrics_series();
+    profiler::ProfileReport report = profiler::build_report(stats, series);
     obs::SummaryInputs in;
     in.stats = &stats;
     in.report = &report;
-    const auto& series = sim.metrics_series();
     if (!series.empty()) in.metrics = &series.back();
     in.traced = profile.trace;
     in.ckpt = ckpt;

@@ -66,16 +66,13 @@ struct ExecSpec {
   std::map<std::string, int> process_of;
 };
 
-/// Profiler + observability knobs (paper §3.3 sampling plus the obs layer:
-/// tracing, metrics, progress). Every artifact a run produces — `.sslog`
-/// files, `wtpg*.dot`, trace/metrics/summary JSON — lands under
-/// artifact_dir(), never the current directory.
+/// Profiler + observability knobs (the obs layer: tracing, metrics,
+/// progress). The metrics snapshot series is also the profiler's periodic
+/// log (paper §3.3): summary.json's profile block windows over it. Every
+/// artifact a run produces — `wtpg*.dot`, trace/metrics/summary JSON —
+/// lands under artifact_dir(), never the current directory.
 struct ProfileSpec {
-  bool enabled = false;
-  std::uint64_t sample_period_cycles = 50'000'000;
-  /// When non-empty, run_instantiated writes one `<component>.sslog` per
-  /// simulator into this directory after the run (profiler/logfile.hpp),
-  /// and it becomes artifact_dir() for every other generated file.
+  /// The artifact directory; empty = "splitsim-out" (see artifact_dir()).
   std::string log_dir;
   /// Cost model for projected-speed reporting (profiler::project_*).
   profiler::PerfModelConfig perf_model;
@@ -141,7 +138,7 @@ struct Instantiation {
   /// Execution choices: run mode, pool workers, named partition strategy.
   ExecSpec exec;
 
-  /// Profiler enablement for this instantiation.
+  /// Profiler/observability choices for this instantiation.
   ProfileSpec profile;
 
   /// Deterministic fault-injection plan (orch/fault.hpp); empty = no
@@ -201,14 +198,13 @@ struct Instantiated {
 /// Build all components for `sys` under the choices in `inst`. Applies the
 /// named partition strategy (exec.partition) or the explicit partitioner,
 /// installs PTP transparent clocks and switch apps, builds detailed
-/// hosts/NICs (and decomposed multicore complexes) with per-host specs, and
-/// enables profiling when requested.
+/// hosts/NICs (and decomposed multicore complexes) with per-host specs.
 Instantiated instantiate_system(runtime::Simulation& sim, const System& sys,
                                 const Instantiation& inst);
 
 /// Run an instantiated simulation under the execution choices in `inst`
-/// (exec.run_mode + exec.pool_workers). Writes profiler logs to
-/// profile.log_dir when profiling is enabled. Thin wrapper over
+/// (exec.run_mode + exec.pool_workers) and writes the artifacts `profile`
+/// asks for (run_profiled). Thin wrapper over
 /// Simulation::run so callers that go through the orchestration layer pick
 /// up the knobs automatically.
 runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation& inst,
@@ -216,8 +212,8 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
 
 /// Run `sim` under `exec` with the observability/profiling behavior of
 /// `profile`: configures Simulation::set_obs from the ProfileSpec, applies
-/// `faults` when given, runs, and writes every requested artifact (sslog,
-/// trace.json, metrics.json, summary.json) into profile.artifact_dir().
+/// `faults` when given, runs, and writes every requested artifact
+/// (trace.json, metrics.json, summary.json) into profile.artifact_dir().
 /// This is the single run entry point shared by run_instantiated and the
 /// hand-assembled benches.
 ///
@@ -240,8 +236,9 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
                                const AdaptiveSpec* adaptive = nullptr,
                                const CkptSpec* ckpt = nullptr);
 
-/// Write every artifact requested by `profile` (sslog, trace.json,
-/// metrics.json, summary.json) into profile.artifact_dir() from `stats`.
+/// Write every artifact requested by `profile` (trace.json, metrics.json,
+/// summary.json) into profile.artifact_dir() from `stats`; summary.json's
+/// profile block windows over sim.metrics_series().
 /// Shared by run_profiled's success and salvage paths and by the
 /// process-mode children, which each write their own per-process set.
 /// `ckpt`, when given, is recorded in summary.json (and forces the summary

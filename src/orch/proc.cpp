@@ -930,7 +930,7 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
       }
       ckpt::verify_resume(ckpt::merge_shards(shards), *resume, ckpt->resume_from);
       resume_verified = true;
-    } catch (runtime::SimulationError err) {
+    } catch (runtime::SimulationError& err) {
       merged.outcome = runtime::RunOutcome::kError;
       merged.error = err.what();
       merged.error_kind = err.kind();
@@ -940,7 +940,7 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
       cksp = &cks;
       write_parent_artifacts(profile, merged, reports, plan, fleet_series, end, cksp);
       err.attach_stats(std::make_shared<const runtime::RunStats>(merged));
-      throw err;
+      throw;
     }
   }
   if (ckpt != nullptr) {

@@ -10,37 +10,55 @@ namespace splitsim::profiler {
 
 namespace {
 
-/// Counter deltas over the stable window of a sampled run: drop warm-up and
-/// cool-down entries and diff a late sample against an early one.
+/// Counter deltas over the stable window of a run's metrics snapshot
+/// series: drop warm-up and cool-down snapshots and diff the last remaining
+/// snapshot against the first.
 struct Window {
   bool valid = false;
-  std::uint64_t tsc_delta = 0;
-  SimTime sim_delta = 0;
+  std::uint64_t cycles = 0;  ///< the component's elapsed cycles in the window
   std::vector<sync::ProfCounters> deltas;
 };
 
-Window sample_window(const runtime::ComponentStats& cs, std::size_t warmup,
-                     std::size_t cooldown) {
+using Gauges = std::unordered_map<std::string, double>;
+
+Gauges index_gauges(const obs::MetricsSnapshot& s) {
+  Gauges g;
+  g.reserve(s.gauges.size());
+  for (const auto& [name, value] : s.gauges) g.emplace(name, value);
+  return g;
+}
+
+/// late - early of one gauge as a count; false when either lacks it.
+bool gauge_delta(const Gauges& early, const Gauges& late, const std::string& name,
+                 std::uint64_t& out) {
+  auto e = early.find(name);
+  auto l = late.find(name);
+  if (e == early.end() || l == late.end()) return false;
+  out = l->second > e->second ? static_cast<std::uint64_t>(l->second - e->second) : 0;
+  return true;
+}
+
+Window snapshot_window(const runtime::ComponentStats& cs, const Gauges& early,
+                       const Gauges& late) {
   Window w;
-  const auto& s = cs.samples;
-  if (s.size() < warmup + cooldown + 2) return w;
-  const runtime::ProfSample& early = s[warmup];
-  const runtime::ProfSample& late = s[s.size() - 1 - cooldown];
-  if (late.tsc <= early.tsc) return w;
-  w.valid = true;
-  w.tsc_delta = late.tsc - early.tsc;
-  w.sim_delta = late.sim_time - early.sim_time;
-  w.deltas.reserve(late.adapters.size());
-  for (std::size_t i = 0; i < late.adapters.size() && i < early.adapters.size(); ++i) {
-    w.deltas.push_back(late.adapters[i].delta(early.adapters[i]));
+  const std::string p = "comp." + cs.name + ".";
+  if (!gauge_delta(early, late, p + "elapsed_cycles", w.cycles) || w.cycles == 0) return w;
+  w.deltas.resize(cs.adapters.size());
+  for (std::size_t i = 0; i < cs.adapters.size(); ++i) {
+    const std::string a = p + "adapter." + cs.adapters[i].adapter + ".";
+    for (const sync::ProfCounterField& f : sync::kProfCounterFields) {
+      if (!gauge_delta(early, late, a + f.name, w.deltas[i].*f.member)) return Window{};
+    }
   }
+  w.valid = true;
   return w;
 }
 
 }  // namespace
 
-ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warmup,
-                           std::size_t drop_cooldown) {
+ProfileReport build_report(const runtime::RunStats& stats,
+                           const std::vector<obs::MetricsSnapshot>& series,
+                           std::size_t drop_warmup, std::size_t drop_cooldown) {
   ProfileReport rep;
   rep.mode = stats.mode;
   rep.sim_seconds = stats.sim_seconds();
@@ -50,6 +68,12 @@ ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warm
   // Parallel modes (threaded, pooled) carry real per-component wall-clock
   // windows; coscheduled totals are interleaved on one thread instead.
   const bool threaded = stats.mode != runtime::RunMode::kCoscheduled;
+  Gauges early;
+  Gauges late;
+  if (threaded && series.size() >= drop_warmup + drop_cooldown + 2) {
+    early = index_gauges(series[drop_warmup]);
+    late = index_gauges(series[series.size() - 1 - drop_cooldown]);
+  }
 
   // Pass 1: per-component raw numbers.
   for (const auto& cs : stats.components) {
@@ -59,9 +83,11 @@ ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warm
     cr.wall_cycles = cs.wall_cycles;
     cr.events = cs.events;
 
-    Window win = sample_window(cs, drop_warmup, drop_cooldown);
+    Window win = late.empty() ? Window{} : snapshot_window(cs, early, late);
 
-    std::uint64_t wall = cs.wall_cycles ? cs.wall_cycles : 1;
+    // Fractions are of the component's own wall time: the window's elapsed
+    // cycles, or the whole run's (never 0 either way).
+    const std::uint64_t denom = win.valid ? win.cycles : std::max<std::uint64_t>(cs.wall_cycles, 1);
     std::uint64_t overhead = 0;
     std::uint64_t waiting = 0;
     for (std::size_t i = 0; i < cs.adapters.size(); ++i) {
@@ -69,10 +95,7 @@ ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warm
       ar.adapter = cs.adapters[i].adapter;
       ar.component = cs.adapters[i].component;
       ar.peer_component = cs.adapters[i].peer_component;
-      ar.counters = (threaded && win.valid && i < win.deltas.size()) ? win.deltas[i]
-                                                                     : cs.adapters[i].totals;
-      std::uint64_t denom = (threaded && win.valid) ? win.tsc_delta : wall;
-      if (denom == 0) denom = 1;
+      ar.counters = win.valid ? win.deltas[i] : cs.adapters[i].totals;
       ar.wait_fraction =
           static_cast<double>(ar.counters.sync_wait_cycles) / static_cast<double>(denom);
       overhead += ar.counters.overhead_cycles();
@@ -81,8 +104,6 @@ ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warm
     }
 
     if (threaded) {
-      std::uint64_t denom = win.valid ? win.tsc_delta : wall;
-      if (denom == 0) denom = 1;
       cr.efficiency = 1.0 - std::min<double>(1.0, static_cast<double>(overhead) /
                                                       static_cast<double>(denom));
       cr.waiting_fraction =

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runtime/runner.hpp"
 #include "util/cycles.hpp"
 #include "util/time.hpp"
@@ -76,11 +77,18 @@ struct ProfileReport {
   const ComponentReport* find(const std::string& name) const;
 };
 
-/// Build a report from run statistics. For threaded runs with samples, a
-/// configurable number of warm-up and cool-down log entries is dropped
-/// before computing counter deltas (paper §3.3.2).
-ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warmup = 1,
-                           std::size_t drop_cooldown = 0);
+/// Build a report from run statistics. The periodic log of a run is its
+/// obs metrics snapshot series (Simulation::metrics_series(): per-adapter
+/// counter gauges stamped with each component's elapsed cycles; see
+/// Component::enable_obs). For threaded and pooled runs, `drop_warmup`
+/// leading and `drop_cooldown` trailing snapshots are dropped and the
+/// adapter counters are the deltas between the remaining first and last
+/// snapshot (paper §3.3.2). A component whose window cannot be formed
+/// (metrics off, too few snapshots, no elapsed cycles in between) is
+/// reported from the run totals instead.
+ProfileReport build_report(const runtime::RunStats& stats,
+                           const std::vector<obs::MetricsSnapshot>& series = {},
+                           std::size_t drop_warmup = 1, std::size_t drop_cooldown = 0);
 
 /// Projected wall-clock seconds for running this simulation on a machine
 /// described by `cfg`, derived from per-component loads:

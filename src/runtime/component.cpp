@@ -35,6 +35,7 @@ void Component::prepare(SimTime end) {
     if (a->config().latency > lookahead) lookahead = a->config().latency;
   }
   if (lookahead > 0) kernel_.set_bucket_hint(lookahead);
+  if (obs_live_) obs_t0_ = rdcycles();
   init();
 }
 
@@ -145,7 +146,10 @@ void Component::finish() {
   kernel_.advance_to(end_);
   finalize();
   for (auto& a : adapters_) a->send_fin();
-  if (obs_live_) live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
+  if (obs_live_) {
+    live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
+    obs_t1_ = rdcycles();
+  }
 }
 
 bool Component::send_nulls(SimTime bound) {
@@ -192,7 +196,6 @@ void Component::inject_stall(SimTime at, std::uint64_t batches) {
 
 void Component::run_thread(ThreadedShared& shared) {
   std::uint64_t t0 = rdcycles();
-  next_sample_tsc_ = sample_period_ ? t0 + sample_period_ : 0;
   while (!shared.abort.load(std::memory_order_relaxed)) {
     // Bound before action: see safe_bound().
     SimTime s = safe_bound();
@@ -306,36 +309,16 @@ void Component::run_thread(ThreadedShared& shared) {
 }
 
 void Component::maybe_observe() {
-  if (sample_period_ == 0 && !obs_live_) return;
+  if (!obs_live_) return;
   if (++batches_since_check_ < 64) return;
   batches_since_check_ = 0;
+  live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
+  if (publish_period_ == 0) return;
   std::uint64_t tsc = rdcycles();
-  if (obs_live_) {
-    live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
-    if (publish_period_ != 0 && tsc >= next_publish_tsc_) {
-      next_publish_tsc_ = tsc + publish_period_;
-      publish_obs_metrics();
-    }
+  if (tsc >= next_publish_tsc_) {
+    next_publish_tsc_ = tsc + publish_period_;
+    publish_obs_metrics();
   }
-  if (sample_period_ != 0 && tsc >= next_sample_tsc_) {
-    next_sample_tsc_ = tsc + sample_period_;
-    record_sample_now();
-  }
-}
-
-void Component::record_sample_now() {
-  ProfSample s;
-  s.tsc = rdcycles();
-  s.sim_time = kernel_.now();
-  s.adapters.reserve(adapters_.size());
-  for (auto& a : adapters_) {
-    sync::ProfCounters c = a->counters();
-    // Stall counts live in the channel end's atomic (never touched on the
-    // send fast path); fold them in at snapshot points only.
-    c.backpressure_stalls = a->end().tx_backpressure_stalls();
-    s.adapters.push_back(c);
-  }
-  samples_.push_back(std::move(s));
 }
 
 void Component::enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycles) {
@@ -351,6 +334,14 @@ void Component::enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycl
   g_heap_entries_ = &reg.gauge(p + "heap_entries");
   g_batches_ = &reg.gauge(p + "batches");
   h_queue_depth_ = &reg.histogram(p + "queue_depth_hist");
+  g_elapsed_cycles_ = &reg.gauge(p + "elapsed_cycles");
+  g_adapters_.clear();
+  for (auto& a : adapters_) {
+    auto& gauges = g_adapters_.emplace_back();
+    for (std::size_t f = 0; f < gauges.size(); ++f) {
+      gauges[f] = &reg.gauge(p + "adapter." + a->name() + "." + sync::kProfCounterFields[f].name);
+    }
+  }
   register_extra_obs_metrics(reg);
 }
 
@@ -363,6 +354,14 @@ void Component::publish_obs_metrics() {
   g_heap_entries_->set(static_cast<double>(kernel_.heap_entries()));
   g_batches_->set(static_cast<double>(batches_));
   h_queue_depth_->observe(kernel_.live_events());
+  // Cycle counts stay far below 2^53, so the doubles hold them exactly.
+  g_elapsed_cycles_->set(static_cast<double>((obs_t1_ != 0 ? obs_t1_ : rdcycles()) - obs_t0_));
+  for (std::size_t i = 0; i < adapters_.size(); ++i) {
+    const sync::ProfCounters c = adapters_[i]->snapshot_counters();
+    for (std::size_t f = 0; f < sync::kProfCounterFields.size(); ++f) {
+      g_adapters_[i][f]->set(static_cast<double>(c.*sync::kProfCounterFields[f].member));
+    }
+  }
   publish_extra_obs_metrics();
 }
 

@@ -12,6 +12,7 @@
 //    machines with fewer cores than components.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -28,16 +29,6 @@
 #include "util/time.hpp"
 
 namespace splitsim::runtime {
-
-/// One periodic profiler log entry: wall cycle counter, simulation time, and
-/// a snapshot of every adapter's counters (paper §3.3: "log the values of
-/// these counters for each adapter and the current time stamp counter as
-/// well as that simulator's current simulation time").
-struct ProfSample {
-  std::uint64_t tsc = 0;
-  SimTime sim_time = 0;
-  std::vector<sync::ProfCounters> adapters;
-};
 
 /// State shared by all component threads of one threaded run: termination
 /// accounting, first-error capture, and the inputs of the hang watchdog.
@@ -202,10 +193,6 @@ class Component {
 
   // ---- profiling -------------------------------------------------------
 
-  /// Enable periodic counter sampling every `period_cycles` wall cycles.
-  void enable_sampling(std::uint64_t period_cycles) { sample_period_ = period_cycles; }
-  const std::vector<ProfSample>& samples() const { return samples_; }
-
   std::uint64_t busy_cycles() const { return busy_cycles_; }
   void add_busy_cycles(std::uint64_t c) { busy_cycles_ += c; }
   std::uint64_t wall_cycles() const { return wall_cycles_; }
@@ -216,13 +203,18 @@ class Component {
   std::uint64_t drain_cycles() const { return drain_cycles_; }
   std::uint64_t batches() const { return batches_; }
 
-  void record_sample_now();
-
   // ---- observability ---------------------------------------------------
 
   /// Enable live metrics: register this component's instruments in `reg`
   /// and publish into them from the owning thread every `publish_period`
   /// wall cycles (plus once at the end of the run). Call before the run.
+  ///
+  /// Besides the DES gauges, every adapter exports each ProfCounters field
+  /// as `comp.<c>.adapter.<a>.<field>` (sync::kProfCounterFields), and
+  /// `comp.<c>.elapsed_cycles` stamps them with this component's wall
+  /// cycles from prepare() to now (frozen at finish()). The profiler
+  /// windows over these gauges (profiler::build_report): the stamp delta is
+  /// the window's denominator, as the component's own wall time.
   void enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycles);
 
   /// Publish current values into the registered instruments. Runs on the
@@ -277,10 +269,7 @@ class Component {
   SimTime fault_stall_at_ = kSimTimeMax;
   std::uint64_t fault_stall_batches_ = 0;
 
-  std::uint64_t sample_period_ = 0;  // 0 = sampling off
-  std::uint64_t next_sample_tsc_ = 0;
   std::uint32_t batches_since_check_ = 0;
-  std::vector<ProfSample> samples_;
 
   // Observability state. obs_live_ folds "any live obs duty" into one flag
   // so the per-batch check stays a single branch when everything is off.
@@ -288,6 +277,8 @@ class Component {
   obs::Registry* obs_registry_ = nullptr;
   std::uint64_t publish_period_ = 0;
   std::uint64_t next_publish_tsc_ = 0;
+  std::uint64_t obs_t0_ = 0;  // rdcycles() at prepare()
+  std::uint64_t obs_t1_ = 0;  // rdcycles() at finish(); 0 while running
   std::atomic<SimTime> live_sim_time_{0};
   std::uint32_t trace_track_ = 0;
   // Cached instrument pointers (resolved once at enable_obs; publishing
@@ -299,6 +290,9 @@ class Component {
   obs::Gauge* g_heap_entries_ = nullptr;
   obs::Gauge* g_batches_ = nullptr;
   obs::Histogram* h_queue_depth_ = nullptr;
+  obs::Gauge* g_elapsed_cycles_ = nullptr;
+  /// Per adapter, one gauge per sync::kProfCounterFields entry.
+  std::vector<std::array<obs::Gauge*, sync::kProfCounterFields.size()>> g_adapters_;
 };
 
 }  // namespace splitsim::runtime

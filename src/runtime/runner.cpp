@@ -71,11 +71,6 @@ sync::Channel& Simulation::add_channel(std::string name, sync::ChannelConfig cfg
   return *channels_.back();
 }
 
-void Simulation::enable_profiling(std::uint64_t sample_period_cycles) {
-  profiling_ = true;
-  sample_period_ = sample_period_cycles;
-}
-
 void Simulation::set_active_components(std::vector<std::string> names) {
   active_names_ = std::move(names);
 }
@@ -129,11 +124,10 @@ void Simulation::resolve_peers() {
 }
 
 RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
-  // Only threaded runs give every producer its own thread to wait on; the
-  // coscheduled and pooled runners share threads, so their sends spill.
-  sync::ChannelMode cm =
-      mode == RunMode::kThreaded ? sync::ChannelMode::kBlocking : sync::ChannelMode::kSpillLocked;
-  for (auto& ch : channels_) ch->set_mode(cm);
+  // Every in-process channel spills: a producer never waits for ring space,
+  // so two components bursting at each other cannot both block on a full
+  // ring. Cross-process transports pin their channels to kBlocking.
+  for (auto& ch : channels_) ch->set_mode(sync::ChannelMode::kSpillLocked);
   resolve_peers();
 
   // Process mode: the full system is constructed in every process (for
@@ -280,11 +274,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
 
   std::exception_ptr run_error;
   try {
-    for (Component* c : active) {
-      if (profiling_) c->enable_sampling(sample_period_);
-      c->prepare(end);
-      if (profiling_) c->record_sample_now();
-    }
+    for (Component* c : active) c->prepare(end);
 
     if (mode == RunMode::kThreaded) {
       ThreadedShared shared;
@@ -410,7 +400,6 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
   rs.wall_cycles = wall_cycles;
   rs.wall_seconds = wall_seconds;
   rs.pooled_workers = pooled_workers_;
-  rs.components.reserve(components_.size());
   for (auto& c : components_) {
     // Inactive components (process mode) never ran; folding their empty
     // digests would be harmless, but excluding them keeps per-component
@@ -425,14 +414,12 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
     cs.events = c->kernel().events_executed();
     cs.digest = c->digest();
     rs.digest.merge(cs.digest);
-    cs.samples = c->samples();
     for (auto& a : c->adapters()) {
       AdapterStats as;
       as.adapter = a->name();
       as.component = c->name();
       as.peer_component = a->peer_component();
-      as.totals = a->counters();
-      as.totals.backpressure_stalls = a->end().tx_backpressure_stalls();
+      as.totals = a->snapshot_counters();
       as.channel_latency = a->config().latency;
       cs.adapters.push_back(std::move(as));
     }

@@ -59,7 +59,6 @@ struct ComponentStats {
   std::uint64_t events = 0;
   EventDigest digest;  ///< fold of all messages this component received
   std::vector<AdapterStats> adapters;
-  std::vector<ProfSample> samples;
 };
 
 /// How a run ended.
@@ -134,9 +133,6 @@ class Simulation {
   /// with partial stats attached.
   void fail_run(std::exception_ptr e);
 
-  /// Enable periodic profiler sampling on every component (threaded runs).
-  void enable_profiling(std::uint64_t sample_period_cycles = 50'000'000);
-
   /// Threaded-mode hang watchdog window in wall milliseconds (0 disables).
   /// When every unfinished component thread is blocked and no horizon
   /// progress happens for a full window, the run fails with a
@@ -197,8 +193,6 @@ class Simulation {
   std::mutex fail_mu_;                     ///< guards live_shared_/pending_failure_
   ThreadedShared* live_shared_ = nullptr;  ///< set while a threaded run executes
   std::exception_ptr pending_failure_;     ///< fail_run() before the run started
-  bool profiling_ = false;
-  std::uint64_t sample_period_ = 0;
   std::uint64_t watchdog_ms_ = 500;
   obs::ObsConfig obs_;
   obs::Registry metrics_;

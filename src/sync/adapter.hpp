@@ -182,6 +182,13 @@ class Adapter {
 
   ProfCounters& counters() { return counters_; }
   const ProfCounters& counters() const { return counters_; }
+  /// counters() with the channel end's backpressure stall count folded in:
+  /// the value the runtime records and publishes (owning thread only).
+  ProfCounters snapshot_counters() const {
+    ProfCounters c = counters_;
+    c.backpressure_stalls = end_->tx_backpressure_stalls();
+    return c;
+  }
   void add_wait_cycles(std::uint64_t c) { counters_.sync_wait_cycles += c; }
 
   /// Perfetto track (the owning component's) for trace records.

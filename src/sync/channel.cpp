@@ -58,10 +58,14 @@ bool ChannelEnd::push_with_backpressure(const Message& msg, std::uint64_t& spin_
       return true;
     }
     {
+      // Count under the lock: a consumer that sees a spilled message (and
+      // notes its timestamp into the horizon) must also see it counted, or
+      // peek() would find the spill "empty" and the horizon would pass a
+      // message it cannot see yet.
       std::lock_guard<std::mutex> g(channel_->spill_mu_);
       tx_spill_->push_back(msg);
+      tx_spill_count_->fetch_add(1, std::memory_order_release);
     }
-    tx_spill_count_->fetch_add(1, std::memory_order_release);
     tx_stalls_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }

@@ -16,17 +16,19 @@
 // sequential execution.
 //
 // A channel's mode only decides what a producer does when its transmit ring
-// is full. The runtime picks it per run:
-//   * kBlocking (threaded runs, and transports that force blocking): pure
-//     SPSC rings; a producer that finds the ring full waits with the
-//     adaptive spin/yield/park policy until the consumer thread drains it.
-//     A SYNC that finds the ring full is dropped instead (ChannelEnd::send),
-//     so two peers blocked on each other's rings cannot deadlock on nulls.
-//   * kSpillLocked (coscheduled and pooled runs): a producer must never wait
-//     for a consumer that shares its thread (coscheduled), has no worker to
-//     run on, or has finished and will never drain its rings (pooled). A
+// is full:
+//   * kSpillLocked (every in-process channel; Simulation::run sets it in
+//     every run mode): a producer never waits for ring space. Its consumer
+//     may share its thread (coscheduled), have no worker to run on or have
+//     finished (pooled), or be blocked sending to it in turn (threaded). A
 //     full ring overflows into a mutex-protected spill queue instead; the
 //     common non-full path stays lock-free SPSC.
+//   * kBlocking (cross-process rings: the shm and socket transports pin
+//     it, since a spill queue in one process is invisible to the other):
+//     pure SPSC rings; a producer that finds the ring full waits with the
+//     adaptive spin/yield/park policy until the consumer drains it. A SYNC
+//     that finds the ring full is dropped instead (ChannelEnd::send), so two
+//     peers blocked on each other's rings cannot deadlock on nulls.
 // The receive side never looks at the mode: after the ring it checks the
 // peer's spill count, and only takes the spill lock when that is nonzero. A
 // blocking channel never spills, so there the check is one acquire load.
@@ -65,8 +67,8 @@ struct ChannelConfig {
 
 /// How a producer handles a full transmit ring (see file comment).
 enum class ChannelMode {
-  kBlocking,     ///< threaded: wait (spin/yield/park) for ring space
-  kSpillLocked,  ///< coscheduled and pooled: unbounded spill behind a mutex
+  kBlocking,     ///< cross-process rings: wait (spin/yield/park) for space
+  kSpillLocked,  ///< in-process channels: unbounded spill behind a mutex
 };
 
 /// Thrown out of a blocking send when the run's abort flag trips: the

@@ -7,6 +7,7 @@
 // speed, per-simulator efficiency, and the wait-time profile graph.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace splitsim::sync {
@@ -20,36 +21,29 @@ struct ProfCounters {
   std::uint64_t tx_syncs = 0;          ///< sync (null) messages sent
   std::uint64_t rx_syncs = 0;          ///< sync (null) messages received
   /// Sends that hit a full ring (blocked or spilled). Not maintained on the
-  /// send fast path: the channel end counts stalls in an atomic and the
-  /// runtime copies the value here when it snapshots counters.
+  /// send fast path: the channel end counts stalls in an atomic and
+  /// Adapter::snapshot_counters() folds the value in.
   std::uint64_t backpressure_stalls = 0;
-
-  ProfCounters& operator+=(const ProfCounters& o) {
-    sync_wait_cycles += o.sync_wait_cycles;
-    tx_cycles += o.tx_cycles;
-    rx_cycles += o.rx_cycles;
-    tx_msgs += o.tx_msgs;
-    rx_msgs += o.rx_msgs;
-    tx_syncs += o.tx_syncs;
-    rx_syncs += o.rx_syncs;
-    backpressure_stalls += o.backpressure_stalls;
-    return *this;
-  }
-
-  ProfCounters delta(const ProfCounters& earlier) const {
-    ProfCounters d;
-    d.sync_wait_cycles = sync_wait_cycles - earlier.sync_wait_cycles;
-    d.tx_cycles = tx_cycles - earlier.tx_cycles;
-    d.rx_cycles = rx_cycles - earlier.rx_cycles;
-    d.tx_msgs = tx_msgs - earlier.tx_msgs;
-    d.rx_msgs = rx_msgs - earlier.rx_msgs;
-    d.tx_syncs = tx_syncs - earlier.tx_syncs;
-    d.rx_syncs = rx_syncs - earlier.rx_syncs;
-    d.backpressure_stalls = backpressure_stalls - earlier.backpressure_stalls;
-    return d;
-  }
 
   std::uint64_t overhead_cycles() const { return sync_wait_cycles + tx_cycles + rx_cycles; }
 };
+
+/// Every ProfCounters field with its export name: the key in summary.json
+/// and the last component of the obs gauge `comp.<c>.adapter.<a>.<name>`.
+struct ProfCounterField {
+  const char* name;
+  std::uint64_t ProfCounters::*member;
+};
+
+inline constexpr std::array<ProfCounterField, 8> kProfCounterFields = {{
+    {"tx_msgs", &ProfCounters::tx_msgs},
+    {"rx_msgs", &ProfCounters::rx_msgs},
+    {"tx_syncs", &ProfCounters::tx_syncs},
+    {"rx_syncs", &ProfCounters::rx_syncs},
+    {"tx_cycles", &ProfCounters::tx_cycles},
+    {"rx_cycles", &ProfCounters::rx_cycles},
+    {"sync_wait_cycles", &ProfCounters::sync_wait_cycles},
+    {"backpressure_stalls", &ProfCounters::backpressure_stalls},
+}};
 
 }  // namespace splitsim::sync

@@ -1,12 +1,8 @@
-// Tests for the scale-out proxy components and the file-based profiler
-// log workflow.
+// Tests for the scale-out proxy components.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "profiler/logfile.hpp"
-#include "profiler/profiler.hpp"
 #include "runtime/proxy.hpp"
+#include "runtime/runner.hpp"
 
 using namespace splitsim;
 using namespace splitsim::runtime;
@@ -131,72 +127,4 @@ TEST(ProxyTest, ThreadedMatchesCoscheduled) {
     return caller.rtts;
   };
   EXPECT_EQ(run(RunMode::kCoscheduled), run(RunMode::kThreaded));
-}
-
-TEST(ProfileLogTest, RoundTripPreservesReport) {
-  // Run a small simulation, write logs, re-read them, and verify the
-  // post-processor computes identical metrics from the files.
-  Simulation sim;
-  auto& ch = sim.add_channel("c", {.latency = from_us(1.0)});
-  sim.add_component<Caller>("caller", ch.end_a(), 50);
-  sim.add_component<Echo>("echo", ch.end_b());
-  sim.enable_profiling(10'000'000);
-  auto stats = sim.run(from_ms(2.0), RunMode::kCoscheduled);
-
-  std::string dir = ::testing::TempDir() + "/sslogs";
-  std::filesystem::remove_all(dir);
-  profiler::write_profile_logs(stats, dir);
-  auto parsed = profiler::read_profile_logs(dir);
-
-  EXPECT_EQ(parsed.mode, stats.mode);
-  EXPECT_EQ(parsed.sim_time, stats.sim_time);
-  ASSERT_EQ(parsed.components.size(), stats.components.size());
-
-  auto orig = profiler::build_report(stats);
-  auto redo = profiler::build_report(parsed);
-  ASSERT_EQ(orig.components.size(), redo.components.size());
-  for (const auto& oc : orig.components) {
-    const auto* rc = redo.find(oc.name);
-    ASSERT_NE(rc, nullptr) << oc.name;
-    EXPECT_EQ(rc->busy_cycles, oc.busy_cycles);
-    EXPECT_DOUBLE_EQ(rc->waiting_fraction, oc.waiting_fraction);
-    ASSERT_EQ(rc->adapters.size(), oc.adapters.size());
-    for (std::size_t i = 0; i < oc.adapters.size(); ++i) {
-      EXPECT_EQ(rc->adapters[i].peer_component, oc.adapters[i].peer_component);
-      EXPECT_EQ(rc->adapters[i].counters.tx_msgs, oc.adapters[i].counters.tx_msgs);
-      EXPECT_EQ(rc->adapters[i].counters.sync_wait_cycles,
-                oc.adapters[i].counters.sync_wait_cycles);
-    }
-  }
-}
-
-TEST(ProfileLogTest, SamplesSurviveRoundTrip) {
-  Simulation sim;
-  auto& ch = sim.add_channel("c", {.latency = from_us(1.0)});
-  sim.add_component<Caller>("caller", ch.end_a(), 100);
-  sim.add_component<Echo>("echo", ch.end_b());
-  sim.enable_profiling(1'000);  // sample aggressively
-  auto stats = sim.run(from_ms(2.0), RunMode::kCoscheduled);
-
-  std::string dir = ::testing::TempDir() + "/sslogs2";
-  std::filesystem::remove_all(dir);
-  profiler::write_profile_logs(stats, dir);
-  auto parsed = profiler::read_profile_logs(dir);
-  for (const auto& cs : stats.components) {
-    const runtime::ComponentStats* pc = nullptr;
-    for (const auto& c : parsed.components) {
-      if (c.name == cs.name) pc = &c;
-    }
-    ASSERT_NE(pc, nullptr);
-    ASSERT_EQ(pc->samples.size(), cs.samples.size());
-    for (std::size_t i = 0; i < cs.samples.size(); ++i) {
-      EXPECT_EQ(pc->samples[i].tsc, cs.samples[i].tsc);
-      EXPECT_EQ(pc->samples[i].sim_time, cs.samples[i].sim_time);
-      ASSERT_EQ(pc->samples[i].adapters.size(), cs.samples[i].adapters.size());
-    }
-  }
-}
-
-TEST(ProfileLogTest, MissingDirThrows) {
-  EXPECT_THROW(profiler::read_profile_logs("/nonexistent/sslogs"), std::exception);
 }

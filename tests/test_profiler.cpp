@@ -125,9 +125,11 @@ TEST(ProfilerTest, ProjectedSpeedInverseOfWall) {
 }
 
 TEST(ProfilerTest, EndToEndCoscheduledRun) {
+  // Heavy burns 400x light's work per step: enough that the per-event
+  // runtime cost, which a sanitizer build multiplies, cannot close the gap.
   Simulation sim;
   auto& ch = sim.add_channel("c", {.latency = from_ns(500)});
-  sim.add_component<Burner>("heavy", ch.end_a(), 40);
+  sim.add_component<Burner>("heavy", ch.end_a(), 400);
   sim.add_component<Burner>("light", ch.end_b(), 1);
   auto stats = sim.run(from_us(200.0), RunMode::kCoscheduled);
   auto rep = build_report(stats);
@@ -203,28 +205,76 @@ TEST(ProfilerEdge, ZeroDurationRunStaysFinite) {
   EXPECT_DOUBLE_EQ(rep.components[0].load_cycles_per_simsec, 0.0);
 }
 
-TEST(ProfilerEdge, DropWindowLargerThanSamplesFallsBackToTotals) {
-  // drop_warmup + drop_cooldown >= samples: the sample window is invalid and
-  // the report must silently fall back to run totals.
+namespace {
+
+/// One metrics snapshot carrying the gauges Component::publish_obs_metrics
+/// writes for the profiler: the elapsed-cycles stamp and, for the single
+/// adapter "link", every counter field (all fields set to `counter`).
+obs::MetricsSnapshot profiler_snapshot(const std::string& comp, double elapsed,
+                                       double counter) {
+  obs::MetricsSnapshot s;
+  s.gauges.emplace_back("comp." + comp + ".elapsed_cycles", elapsed);
+  for (const sync::ProfCounterField& f : sync::kProfCounterFields) {
+    s.gauges.emplace_back("comp." + comp + ".adapter.link." + f.name, counter);
+  }
+  return s;
+}
+
+/// Threaded synthetic stats where each adapter waited 500k of 2M cycles.
+RunStats make_threaded_stats() {
   RunStats rs = make_synthetic_stats();
   rs.mode = RunMode::kThreaded;
   for (auto& cs : rs.components) {
     cs.wall_cycles = 2'000'000;
     cs.adapters[0].totals.sync_wait_cycles = 500'000;
-    for (int i = 0; i < 3; ++i) {
-      ProfSample s;
-      s.tsc = static_cast<std::uint64_t>(i) * 1000;
-      s.sim_time = static_cast<SimTime>(i) * 1000;
-      s.adapters.push_back(cs.adapters[0].totals);
-      cs.samples.push_back(std::move(s));
-    }
   }
-  auto rep = build_report(rs, /*drop_warmup=*/8, /*drop_cooldown=*/8);
+  return rs;
+}
+
+}  // namespace
+
+TEST(ProfilerEdge, DropWindowLargerThanSeriesFallsBackToTotals) {
+  // drop_warmup + drop_cooldown >= snapshots: the window is invalid and the
+  // report must silently fall back to run totals.
+  RunStats rs = make_threaded_stats();
+  std::vector<obs::MetricsSnapshot> series;
+  for (int i = 0; i < 3; ++i) {
+    obs::MetricsSnapshot s;
+    for (const char* c : {"heavy", "light"}) {
+      obs::MetricsSnapshot one = profiler_snapshot(c, i * 1000.0, i * 100.0);
+      s.gauges.insert(s.gauges.end(), one.gauges.begin(), one.gauges.end());
+    }
+    series.push_back(std::move(s));
+  }
+  auto rep = build_report(rs, series, /*drop_warmup=*/8, /*drop_cooldown=*/8);
   expect_all_finite(rep);
   const ComponentReport* heavy = rep.find("heavy");
   ASSERT_NE(heavy, nullptr);
   // Totals-based wait fraction: 500k waited of 2M wall.
   EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction, 0.25);
+}
+
+TEST(ProfilerEdge, WindowDiffsSnapshotsAfterWarmupAndBeforeCooldown) {
+  // Five snapshots, one dropped at each end: counters are the deltas of
+  // snapshot 3 against snapshot 1, over its elapsed cycles. "light" has no
+  // gauges at all and keeps its totals.
+  RunStats rs = make_threaded_stats();
+  std::vector<obs::MetricsSnapshot> series;
+  for (double t : {0.0, 1000.0, 3000.0, 5000.0, 9000.0}) {
+    series.push_back(profiler_snapshot("heavy", t, t / 10));
+  }
+  auto rep = build_report(rs, series, /*drop_warmup=*/1, /*drop_cooldown=*/1);
+  expect_all_finite(rep);
+  const ComponentReport* heavy = rep.find("heavy");
+  ASSERT_NE(heavy, nullptr);
+  EXPECT_EQ(heavy->adapters[0].counters.sync_wait_cycles, 400u);
+  EXPECT_EQ(heavy->adapters[0].counters.tx_msgs, 400u);
+  EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction, 0.1);  // 400 of 4000 cycles
+  EXPECT_DOUBLE_EQ(heavy->waiting_fraction, 0.1);
+  EXPECT_DOUBLE_EQ(heavy->efficiency, 1.0 - 3 * 400.0 / 4000.0);
+  const ComponentReport* light = rep.find("light");
+  ASSERT_NE(light, nullptr);
+  EXPECT_DOUBLE_EQ(light->adapters[0].wait_fraction, 0.25);
 }
 
 TEST(ProfilerEdge, ZeroWallCycleThreadedComponentStaysFinite) {
@@ -264,4 +314,56 @@ TEST(ProfilerTest, ThreadedRunMeasuresWaiting) {
   ASSERT_NE(light, nullptr);
   // The light component must have recorded real wait cycles.
   EXPECT_GT(light->adapters[0].counters.sync_wait_cycles, 0u);
+}
+
+TEST(ProfilerTest, ThreadedRunWindowsOverMetricsSnapshots) {
+  // The run's metrics series is the profiler's periodic log: the report's
+  // adapter counters are the gauge deltas between the windowed snapshots,
+  // not the run totals.
+  Simulation sim;
+  auto& ch = sim.add_channel("c", {.latency = from_ns(500)});
+  sim.add_component<Burner>("heavy", ch.end_a(), 40);
+  sim.add_component<Burner>("light", ch.end_b(), 1);
+  obs::ObsConfig oc;
+  oc.metrics_period_ms = 1;
+  sim.set_obs(oc);
+  auto stats = sim.run(from_ms(20.0), RunMode::kThreaded);
+  const auto& series = sim.metrics_series();
+  ASSERT_GE(series.size(), 4u);
+
+  const std::string p = "comp.heavy.adapter.link.";
+  // The final snapshot holds the run totals.
+  const AdapterStats& totals = stats.components[0].adapters[0];
+  ASSERT_EQ(totals.component, "heavy");
+  for (const sync::ProfCounterField& f : sync::kProfCounterFields) {
+    EXPECT_EQ(series.back().value(p + f.name), static_cast<double>(totals.totals.*f.member))
+        << f.name;
+  }
+  // Warm up past the first snapshot in which heavy had published, so the
+  // window provably starts after the run did.
+  std::size_t warmup = 1;
+  while (warmup < series.size() && series[warmup].value(p + "tx_syncs") == 0) ++warmup;
+  ASSERT_LE(warmup + 2, series.size()) << "heavy published too late for a window";
+
+  auto rep = build_report(stats, series, warmup);
+  expect_all_finite(rep);
+  const ComponentReport* heavy = rep.find("heavy");
+  ASSERT_NE(heavy, nullptr);
+  const obs::MetricsSnapshot& early = series[warmup];
+  const obs::MetricsSnapshot& late = series.back();
+  for (const sync::ProfCounterField& f : sync::kProfCounterFields) {
+    EXPECT_EQ(static_cast<double>(heavy->adapters[0].counters.*f.member),
+              late.value(p + f.name) - early.value(p + f.name))
+        << f.name;
+  }
+  EXPECT_LT(heavy->adapters[0].counters.tx_syncs, totals.totals.tx_syncs);
+  const double cycles =
+      late.value("comp.heavy.elapsed_cycles") - early.value("comp.heavy.elapsed_cycles");
+  ASSERT_GT(cycles, 0.0);
+  EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction,
+                   static_cast<double>(heavy->adapters[0].counters.sync_wait_cycles) / cycles);
+  for (const auto& c : rep.components) {
+    EXPECT_GE(c.waiting_fraction, 0.0);
+    EXPECT_LE(c.waiting_fraction, 1.0);
+  }
 }

@@ -467,11 +467,9 @@ TEST(RuntimePooled, ChainWithFewerWorkersThanComponents) {
 }
 
 TEST(RuntimeSpill, OverflowingRingsMatchAcrossModes) {
-  // Rings of 4 slots against bursts of 64: coscheduled and pooled sends
-  // overflow into the spill queue, threaded sends wait for ring space (and
-  // drop SYNCs that find it full). Every mode must still deliver the same
-  // messages at the same times. Data only flows one way (burster ->
-  // forwarder -> sink), so no cycle of full rings can form.
+  // Rings of 4 slots against bursts of 64: sends in every run mode overflow
+  // into the spill queue. Every mode must still deliver the same messages
+  // at the same times.
   static constexpr int kBurst = 64;
   struct Outcome {
     EventDigest digest;
@@ -509,6 +507,27 @@ TEST(RuntimeSpill, OverflowingRingsMatchAcrossModes) {
   // The spill path actually ran.
   EXPECT_GT(cosched.stalls, 0u);
   EXPECT_GT(pooled.stalls, 0u);
+  EXPECT_GT(threaded.stalls, 0u);
+}
+
+TEST(RuntimeSpill, BidirectionalBurstsMatchAcrossModes) {
+  // Two components burst 64 messages at each other every 50 ns through
+  // 4-slot rings. A producer that waited for ring space would block while
+  // its peer blocks the same way; spilling keeps every mode running, and
+  // all of them deliver the same messages at the same times.
+  static constexpr int kBurst = 64;
+  auto run_once = [](RunMode mode, unsigned workers) {
+    Simulation sim;
+    auto& c = sim.add_channel("c", {.latency = from_ns(100), .ring_capacity = 4});
+    sim.add_component<Burster>("left", c.end_a(), kBurst, from_ns(50));
+    sim.add_component<Burster>("right", c.end_b(), kBurst, from_ns(50));
+    return sim.run(from_ns(5025), mode, workers).digest;
+  };
+  EventDigest cosched = run_once(RunMode::kCoscheduled, 0);
+  // Each side receives the bursts sent up to 4900 ns (99 bursts).
+  EXPECT_EQ(cosched.count, 2u * 99 * kBurst);
+  EXPECT_EQ(run_once(RunMode::kPooled, 2), cosched);
+  EXPECT_EQ(run_once(RunMode::kThreaded, 0), cosched);
 }
 
 // The coscheduled runner's choice of which component to advance next must
